@@ -5,11 +5,6 @@ forecaster / decision-maker game, with their bias and Mincer-Zarnowitz
 regression lines; independent numeric oracles that re-derive the formulas by
 brute force; a Monte Carlo engine that plays the game end to end; and a
 rolling-window evaluation toolkit for empirical forecast panels.
-
-Hot numeric paths run through numba when available; set the
-``FEEDBACKCAST_BACKEND`` environment variable (or
-:func:`feedbackcast.set_backend`) to "numpy" to force the pure-numpy
-fallback, or "numba" to require the jitted path.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +25,6 @@ from .errors import (
     WindowTooLarge,
     ZeroVariance,
 )
-from .kernels import active_backend, set_backend
 from .model import (
     TAYLOR_RULE,
     BiasLine,
@@ -98,9 +92,6 @@ __all__ = [
     "SingularMZ",
     "WindowTooLarge",
     "ZeroVariance",
-    # backends
-    "active_backend",
-    "set_backend",
     # model
     "TAYLOR_RULE",
     "BiasLine",

@@ -1,10 +1,4 @@
-"""Numeric hot loops with a numba fast path and a vectorized numpy fallback.
-
-The backend is resolved per call from the ``FEEDBACKCAST_BACKEND`` environment
-variable ("numba", "numpy", or "auto"), overridable in-process through
-:func:`set_backend`. "auto" (the default) picks numba when it imports cleanly.
-Compilation is lazy, so importing the package never pays the JIT cost and
-numpy-only environments never touch numba.
+"""Numeric hot loops, vectorized with numpy.
 
 All kernels take float64 arrays plus scalars and return float64 arrays; they
 raise nothing domain-specific (degenerate fits are reported through flag
@@ -14,203 +8,20 @@ arrays and interpreted by callers).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-ENV_VAR = "FEEDBACKCAST_BACKEND"
-_CHOICES = ("numba", "numpy", "auto")
-
-_override: str | None = None
-_jit_table: dict | None = None
-_jit_error: Exception | None = None
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend for this process ("numba" / "numpy" / "auto"), or
-    ``None`` to fall back to the environment variable."""
-    global _override
-    if name is not None and name not in _CHOICES:
-        raise ValueError(f"backend must be one of {_CHOICES}, got {name!r}")
-    _override = name
-
-
-def active_backend() -> str:
-    """The backend ("numba" or "numpy") that the next kernel call will use."""
-    choice = _override
-    if choice is None:
-        choice = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if choice not in _CHOICES:
-        raise ValueError(
-            f"{ENV_VAR} must be one of {_CHOICES}, got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        _load_jit()
-        return "numba"
-    try:
-        _load_jit()
-    except Exception:
-        return "numpy"
-    return "numba"
-
-
-def _load_jit() -> dict:
-    global _jit_table, _jit_error
-    if _jit_table is not None:
-        return _jit_table
-    if _jit_error is not None:
-        raise RuntimeError(
-            "numba backend unavailable (import failed earlier)"
-        ) from _jit_error
-    try:
-        from numba import njit
-    except Exception as exc:
-        _jit_error = exc
-        raise
-    _jit_table = {
-        "react_play": njit(cache=True)(_react_play_loop),
-        "menu_play": njit(cache=True)(_menu_play_loop),
-        "mse_at": njit(cache=True)(_mse_at_loop),
-        "rolling_ols": njit(cache=True)(_rolling_ols_loop),
-        "rolling_mean": njit(cache=True)(_rolling_mean_loop),
-    }
-    return _jit_table
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-# ---------------------------------------------------------------------------
-# loop bodies (numba-compiled on demand)
-
-def _react_play_loop(theta, x, eps, d, e, b, c, y_target):
-    n = theta.shape[0]
-    forecast = np.empty(n)
-    action = np.empty(n)
-    outcome = np.empty(n)
-    error = np.empty(n)
-    for i in range(n):
-        f = d + e * theta[i]
-        a = x[i] * (y_target - (f - b) / c)
-        y = theta[i] + a + eps[i]
-        forecast[i] = f
-        action[i] = a
-        outcome[i] = y
-        error[i] = y - f
-    return forecast, action, outcome, error
-
-
-def _menu_play_loop(theta, x, eps, a0, a1, y_target):
-    n = theta.shape[0]
-    forecast = np.empty(n)
-    action = np.empty(n)
-    outcome = np.empty(n)
-    error = np.empty(n)
-    gap = a1 * a1 - a0 * a0
-    for i in range(n):
-        f0 = theta[i] + a0
-        f1 = theta[i] + a1
-        t = 1.0 / x[i] - 1.0
-        lhs = (f0 - y_target) ** 2 - (f1 - y_target) ** 2
-        if lhs <= t * gap:
-            a = a0
-            f = f0
-        else:
-            a = a1
-            f = f1
-        y = f + eps[i]
-        forecast[i] = f
-        action[i] = a
-        outcome[i] = y
-        error[i] = y - f
-    return forecast, action, outcome, error
-
-
-def _mse_at_loop(f, theta, b, c, y_target, x, eps):
-    adj = (c * y_target - f + b) / c
-    acc = 0.0
-    n = x.shape[0]
-    for i in range(n):
-        d = theta + x[i] * adj + eps[i] - f
-        acc += d * d
-    return acc / n
-
-
-def _rolling_ols_loop(xs, ys, window):
-    n = xs.shape[0]
-    m = n - window + 1
-    intercept = np.empty(m)
-    slope = np.empty(m)
-    intercept_se = np.empty(m)
-    slope_se = np.empty(m)
-    r_squared = np.empty(m)
-    mean_error = np.empty(m)
-    flat = np.zeros(m, dtype=np.uint8)
-    for w in range(m):
-        sx = 0.0
-        sy = 0.0
-        de = 0.0
-        for j in range(w, w + window):
-            sx += xs[j]
-            sy += ys[j]
-            de += ys[j] - xs[j]
-        xb = sx / window
-        yb = sy / window
-        mean_error[w] = de / window
-        sxx = 0.0
-        sxy = 0.0
-        syy = 0.0
-        for j in range(w, w + window):
-            dx = xs[j] - xb
-            dy = ys[j] - yb
-            sxx += dx * dx
-            sxy += dx * dy
-            syy += dy * dy
-        if sxx == 0.0:
-            flat[w] = 1
-            intercept[w] = np.nan
-            slope[w] = np.nan
-            intercept_se[w] = np.nan
-            slope_se[w] = np.nan
-            r_squared[w] = np.nan
-            continue
-        bhat = sxy / sxx
-        ahat = yb - bhat * xb
-        ssr = 0.0
-        for j in range(w, w + window):
-            r = ys[j] - ahat - bhat * xs[j]
-            ssr += r * r
-        sig2 = ssr / (window - 2)
-        slope[w] = bhat
-        intercept[w] = ahat
-        slope_se[w] = math.sqrt(sig2 / sxx)
-        intercept_se[w] = math.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
-        if syy > 0.0:
-            r_squared[w] = 1.0 - ssr / syy
-        else:
-            r_squared[w] = 1.0
-    return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
-
-
-def _rolling_mean_loop(values, window):
-    n = values.shape[0]
-    m = n - window + 1
-    out = np.empty(m)
-    for w in range(m):
-        acc = 0.0
-        for j in range(w, w + window):
-            acc += values[j]
-        out[w] = acc / window
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-def _react_play_numpy(theta, x, eps, d, e, b, c, y_target):
+def react_play(theta, x, eps, d, e, b, c, y_target):
+    """Play one batch of the game under forecast rule (d, e) and DM
+    conjecture (b, c): returns (forecast, action, outcome, error) arrays."""
+    theta, x, eps = _as_f64(theta), _as_f64(x), _as_f64(eps)
+    d, e, b, c, y_target = float(d), float(e), float(b), float(c), float(y_target)
     forecast = d + e * theta
     action = x * (y_target - (forecast - b) / c)
     outcome = theta + action + eps
@@ -218,13 +29,22 @@ def _react_play_numpy(theta, x, eps, d, e, b, c, y_target):
     return forecast, action, outcome, error
 
 
-def _menu_play_numpy(theta, x, eps, a0, a1, y_target):
+def menu_play(theta, x, eps, a0, a1, y_target):
+    """Play the two-action menu game; each DM picks the menu action that is
+    cheaper under its own cost t = 1/x - 1, and the recorded forecast is the
+    conditional forecast matching the chosen action. Ties go to ``a0``."""
+    theta, x, eps = _as_f64(theta), _as_f64(x), _as_f64(eps)
+    a0, a1, y_target = float(a0), float(a1), float(y_target)
     f0 = theta + a0
     f1 = theta + a1
-    t = 1.0 / x - 1.0
+    # a draw at the subnormal floor gives t = inf, which still orders the
+    # actions when their costs differ; on a symmetric menu inf * 0 would be
+    # nan and lose the tie, so the cost gap is taken as exactly 0 there
+    with np.errstate(over="ignore"):
+        t = 1.0 / x - 1.0
     gap = a1 * a1 - a0 * a0
     lhs = (f0 - y_target) ** 2 - (f1 - y_target) ** 2
-    take0 = lhs <= t * gap
+    take0 = lhs <= (t * gap if gap != 0.0 else 0.0)
     action = np.where(take0, a0, a1)
     forecast = np.where(take0, f0, f1)
     outcome = forecast + eps
@@ -232,30 +52,33 @@ def _menu_play_numpy(theta, x, eps, a0, a1, y_target):
     return forecast, action, outcome, error
 
 
-def _mse_at_numpy(f, theta, b, c, y_target, x, eps):
-    adj = (c * y_target - f + b) / c
-    d = theta + x * adj + eps - f
-    return float(np.mean(d * d))
+def rolling_ols(xs, ys, window):
+    """Per-window least squares of ys on xs over every contiguous window.
 
-
-def _rolling_ols_numpy(xs, ys, window):
-    n = xs.shape[0]
-    m = n - window + 1
-    intercept = np.empty(m)
-    slope = np.empty(m)
-    intercept_se = np.empty(m)
-    slope_se = np.empty(m)
-    r_squared = np.empty(m)
-    mean_error = np.empty(m)
+    Returns (intercept, slope, intercept_se, slope_se, r_squared, mean_error,
+    flat) arrays of length len(xs) - window + 1; ``flat`` marks windows with
+    zero regressor variance (their fit columns are NaN). ``mean_error`` is
+    the window mean of ys - xs, computed by rolling_mean. R-squared is 1.0 by
+    convention when the window's ys are constant.
+    """
+    xs, ys = _as_f64(xs), _as_f64(ys)
+    window = int(window)
+    x_bar = rolling_mean(xs, window)
+    y_bar = rolling_mean(ys, window)
+    mean_error = rolling_mean(ys - xs, window)
+    m = x_bar.shape[0]
+    intercept = np.full(m, np.nan)
+    slope = np.full(m, np.nan)
+    intercept_se = np.full(m, np.nan)
+    slope_se = np.full(m, np.nan)
+    r_squared = np.full(m, np.nan)
     flat = np.zeros(m, dtype=np.uint8)
-    diff = ys - xs
     for w in range(m):
         sl = slice(w, w + window)
         xw = xs[sl]
         yw = ys[sl]
-        xb = np.sum(xw) / window
-        yb = np.sum(yw) / window
-        mean_error[w] = np.sum(diff[sl]) / window
+        xb = x_bar[w]
+        yb = y_bar[w]
         dx = xw - xb
         dy = yw - yb
         sxx = float(np.sum(dx * dx))
@@ -263,11 +86,6 @@ def _rolling_ols_numpy(xs, ys, window):
         syy = float(np.sum(dy * dy))
         if sxx == 0.0:
             flat[w] = 1
-            intercept[w] = np.nan
-            slope[w] = np.nan
-            intercept_se[w] = np.nan
-            slope_se[w] = np.nan
-            r_squared[w] = np.nan
             continue
         bhat = sxy / sxx
         ahat = yb - bhat * xb
@@ -282,70 +100,10 @@ def _rolling_ols_numpy(xs, ys, window):
     return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
 
 
-def _rolling_mean_numpy(values, window):
-    m = values.shape[0] - window + 1
-    out = np.empty(m)
-    for w in range(m):
-        out[w] = np.sum(values[w : w + window]) / window
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-def react_play(theta, x, eps, d, e, b, c, y_target):
-    """Play one batch of the game under forecast rule (d, e) and DM
-    conjecture (b, c): returns (forecast, action, outcome, error) arrays."""
-    theta, x, eps = _as_f64(theta), _as_f64(x), _as_f64(eps)
-    args = (theta, x, eps, float(d), float(e), float(b), float(c), float(y_target))
-    if active_backend() == "numba":
-        return _load_jit()["react_play"](*args)
-    return _react_play_numpy(*args)
-
-
-def menu_play(theta, x, eps, a0, a1, y_target):
-    """Play the two-action menu game; each DM picks the menu action that is
-    cheaper under its own cost t = 1/x - 1, and the recorded forecast is the
-    conditional forecast matching the chosen action."""
-    theta, x, eps = _as_f64(theta), _as_f64(x), _as_f64(eps)
-    args = (theta, x, eps, float(a0), float(a1), float(y_target))
-    if active_backend() == "numba":
-        return _load_jit()["menu_play"](*args)
-    return _menu_play_numpy(*args)
-
-
-def mse_at(f, theta, b, c, y_target, x, eps):
-    """Monte Carlo mean squared error of announcing ``f`` in state ``theta``
-    against fixed draws (x, eps); the fixed draws give common random numbers
-    across candidate f values."""
-    x, eps = _as_f64(x), _as_f64(eps)
-    args = (float(f), float(theta), float(b), float(c), float(y_target), x, eps)
-    if active_backend() == "numba":
-        return float(_load_jit()["mse_at"](*args))
-    return _mse_at_numpy(*args)
-
-
-def rolling_ols(xs, ys, window):
-    """Per-window least squares of ys on xs over every contiguous window.
-
-    Returns (intercept, slope, intercept_se, slope_se, r_squared, mean_error,
-    flat) arrays of length len(xs) - window + 1; ``flat`` marks windows with
-    zero regressor variance (their fit columns are NaN). ``mean_error`` is
-    the window mean of ys - xs. R-squared is 1.0 by convention when the
-    window's ys are constant.
-    """
-    xs, ys = _as_f64(xs), _as_f64(ys)
-    window = int(window)
-    if active_backend() == "numba":
-        return _load_jit()["rolling_ols"](xs, ys, window)
-    return _rolling_ols_numpy(xs, ys, window)
-
-
 def rolling_mean(values, window):
-    """Trailing mean of ``values`` over every contiguous window, summed in
-    the same order as rolling_ols's mean_error so the two agree exactly."""
+    """Trailing mean of ``values`` over every contiguous window: each window
+    is summed as its own slice would be, through a strided view rather than
+    per-window copies."""
     values = _as_f64(values)
     window = int(window)
-    if active_backend() == "numba":
-        return _load_jit()["rolling_mean"](values, window)
-    return _rolling_mean_numpy(values, window)
+    return np.sum(sliding_window_view(values, window), axis=1) / window

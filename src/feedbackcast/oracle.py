@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import BracketFailure, DegenerateConjecture, SingularDenominator
 from .model import LinearRule, ModelParams, mse_decomposition, optimal_forecast
-from .simulate import PolicyShockSpec, sample_policy_shock
+from .simulate import PolicyShockSpec, _require_matching_shock, sample_policy_shock
 
 __all__ = [
     "OracleConfig",
@@ -130,19 +129,13 @@ def mc_mse_minimizer(
     """Golden-section minimizer of the Monte-Carlo-estimated conditional MSE.
 
     The same (x, eps) draws score every candidate forecast (common random
-    numbers), so the estimated objective is an exact quadratic in f and the
-    search is deterministic given the seed. With ``with_stderr`` the return
-    value is ``(minimizer, stderr)``, where the standard error comes from the
-    delta method applied to the ratio form of the sample minimizer.
+    numbers), so the estimated objective is an exact quadratic in f, scored
+    from sample moments taken once, and the search is deterministic given the
+    seed. With ``with_stderr`` the return value is ``(minimizer, stderr)``,
+    where the standard error comes from the delta method applied to the ratio
+    form of the sample minimizer.
     """
-    if not math.isclose(dist.target_mean, params.mu, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock mean {dist.target_mean} does not match params.mu {params.mu}"
-        )
-    if not math.isclose(dist.target_var, params.tau2, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock variance {dist.target_var} does not match params.tau2 {params.tau2}"
-        )
+    _require_matching_shock(dist, params)
     b, c = conjecture.intercept, conjecture.slope
 
     ss = np.random.SeedSequence(cfg.seed)
@@ -152,8 +145,18 @@ def mc_mse_minimizer(
         0.0, math.sqrt(params.sigma2), cfg.sample_count
     )
 
+    # e_i(f) = A_i - (1 + B_i) f, so mean(e^2) = mean(A^2) - 2 f mean(u)
+    # + f^2 mean(v) with u = A(1+B) and v = (1+B)^2
+    a_i = theta + x * ((c * params.y_target + b) / c) + eps
+    w_i = 1.0 + x / c
+    u = a_i * w_i
+    v = w_i * w_i
+    a2_bar = float(np.mean(a_i * a_i))
+    u_bar = float(np.mean(u))
+    v_bar = float(np.mean(v))
+
     def objective(f: float) -> float:
-        return kernels.mse_at(f, theta, b, c, params.y_target, x, eps)
+        return a2_bar - 2.0 * f * u_bar + f * f * v_bar
 
     pilot = optimal_forecast(conjecture, params)(theta)
     half = cfg.bracket_halfwidth
@@ -168,14 +171,8 @@ def mc_mse_minimizer(
     if not with_stderr:
         return f_hat
 
-    # e_i(f) = A_i - (1 + B_i) f, so the sample minimizer is mean(u)/mean(v)
-    # with u = A(1+B) and v = (1+B)^2; the delta method gives its stderr.
-    a_i = theta + x * ((c * params.y_target + b) / c) + eps
-    w_i = 1.0 + x / c
-    u = a_i * w_i
-    v = w_i * w_i
-    v_bar = float(np.mean(v))
-    ratio = float(np.mean(u)) / v_bar
+    # the sample minimizer is u_bar / v_bar; the delta method gives its stderr
+    ratio = u_bar / v_bar
     resid = u - ratio * v
     stderr = float(np.std(resid, ddof=1)) / (v_bar * math.sqrt(len(u)))
     return f_hat, stderr

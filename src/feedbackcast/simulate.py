@@ -36,6 +36,7 @@ from .model import (
     LinearRule,
     ModelParams,
     MZLine,
+    _require_finite,
     optimal_forecast,
     solve_equilibria,
 )
@@ -66,13 +67,6 @@ SCENARIOS = (
 _FAMILIES = ("beta_scaled", "truncated_normal", "degenerate")
 
 
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class PolicyShockSpec:
     """Distribution of the DM's reaction strength x, matched to (mean, var).
@@ -96,7 +90,7 @@ class PolicyShockSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        object.__setattr__(self, "target_mean", _finite("target_mean", self.target_mean))
+        object.__setattr__(self, "target_mean", _require_finite("target_mean", self.target_mean))
         tv = float(self.target_var)
         if not math.isfinite(tv) or tv < 0.0:
             raise ValueError(f"target_var must be finite and >= 0, got {self.target_var!r}")
@@ -220,6 +214,19 @@ def _truncnorm_parent(
     )
 
 
+def _require_matching_shock(shock: PolicyShockSpec, params: ModelParams) -> None:
+    """Reject a reaction distribution whose (mean, var) is not the
+    (mu, tau2) the forecaster optimizes against."""
+    if not math.isclose(shock.target_mean, params.mu, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError(
+            f"shock mean {shock.target_mean} does not match params.mu {params.mu}"
+        )
+    if not math.isclose(shock.target_var, params.tau2, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError(
+            f"shock variance {shock.target_var} does not match params.tau2 {params.tau2}"
+        )
+
+
 def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
     """Draw ``n`` strictly positive reaction strengths from ``spec``.
 
@@ -257,12 +264,12 @@ class StateNoiseSpec:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_mean", _finite("theta_mean", self.theta_mean))
-        tv = _finite("theta_var", self.theta_var)
+        object.__setattr__(self, "theta_mean", _require_finite("theta_mean", self.theta_mean))
+        tv = _require_finite("theta_var", self.theta_var)
         if tv < 0.0:
             raise ValueError(f"theta_var must be >= 0, got {tv}")
         object.__setattr__(self, "theta_var", tv)
-        nv = _finite("noise_var", self.noise_var)
+        nv = _require_finite("noise_var", self.noise_var)
         if nv <= 0.0:
             raise ValueError(f"noise_var must be > 0, got {nv}")
         object.__setattr__(self, "noise_var", nv)
@@ -329,12 +336,15 @@ class SimulationRun:
             raise ValueError("scenario 'conditional' requires assumed_action")
         if self.assumed_action is not None:
             object.__setattr__(
-                self, "assumed_action", _finite("assumed_action", self.assumed_action)
+                self, "assumed_action", _require_finite("assumed_action", self.assumed_action)
             )
         if self.scenario == "constrained_menu":
             if self.menu is None:
                 raise ValueError("scenario 'constrained_menu' requires a menu")
-            menu = (_finite("menu[0]", self.menu[0]), _finite("menu[1]", self.menu[1]))
+            menu = (
+                _require_finite("menu[0]", self.menu[0]),
+                _require_finite("menu[1]", self.menu[1]),
+            )
             object.__setattr__(self, "menu", menu)
 
 
@@ -443,14 +453,7 @@ def play_game(
     against; a mismatch would silently decouple the DM from the model being
     verified, so it is rejected.
     """
-    if not math.isclose(shock.target_mean, params.mu, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock mean {shock.target_mean} does not match params.mu {params.mu}"
-        )
-    if not math.isclose(shock.target_var, params.tau2, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock variance {shock.target_var} does not match params.tau2 {params.tau2}"
-        )
+    _require_matching_shock(shock, params)
 
     n = run.draw_count
     seed_theta, seed_x, seed_eps = np.random.SeedSequence(run.seed).spawn(3)

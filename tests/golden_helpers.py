@@ -2,8 +2,6 @@
 
 The series is 10,000 periods of equilibrium play whose parameters switch at
 the midpoint; the rolling file is the window-40 evaluation of that series.
-Both are generated (and must be compared) under the numpy kernel backend so
-the bytes do not depend on whether numba is installed.
 
 Regenerate in place with:  python3 tests/golden_helpers.py
 """
@@ -12,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from feedbackcast import cli, kernels
+from feedbackcast import cli
 from feedbackcast.model import ModelParams, equilibrium_bias_and_mz
 from feedbackcast.simulate import (
     PolicyShockSpec,
@@ -90,17 +88,13 @@ def write_rolling(series_path, rolling_path) -> None:
 
 
 def regenerate(directory) -> tuple[Path, Path]:
-    """Rebuild both fixtures under the numpy backend; returns their paths."""
+    """Rebuild both fixtures; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     series = directory / SERIES_NAME
     rolling = directory / ROLLING_NAME
-    kernels.set_backend("numpy")
-    try:
-        write_series(series)
-        write_rolling(series, rolling)
-    finally:
-        kernels.set_backend(None)
+    write_series(series)
+    write_rolling(series, rolling)
     return series, rolling
 
 

@@ -147,9 +147,10 @@ class TestMcMinimizer:
         )
         assert 1.3 <= se_small / se_big <= 1.55
 
-    def test_common_random_numbers_make_the_curve_convex(self):
+    def test_lands_on_the_per_draw_mse_argmin(self):
+        # reference objective: the per-draw squared error of the structural
+        # equation, averaged over the oracle's own seeded draws
         rng = np.random.default_rng(31)
-        from feedbackcast import kernels
         from feedbackcast.simulate import sample_policy_shock
 
         for seed in (0, 1, 2):
@@ -158,23 +159,24 @@ class TestMcMinimizer:
             if params.tau2 >= params.mu * (hi - params.mu):
                 continue  # no beta on (0, hi) can hit these moments
             dist = _beta_dist(params, hi=hi)
-            ss = np.random.SeedSequence(seed)
-            sx, se = ss.spawn(2)
-            x = sample_policy_shock(dist, 20_000, sx)
+            cfg = OracleConfig(sample_count=20_000, seed=seed)
+            sx, se = np.random.SeedSequence(seed).spawn(2)
+            x = sample_policy_shock(dist, cfg.sample_count, sx)
             eps = np.random.default_rng(se).normal(
-                0.0, math.sqrt(params.sigma2), 20_000
+                0.0, math.sqrt(params.sigma2), cfg.sample_count
             )
-            pilot = optimal_forecast(conjecture, params)(theta)
-            grid = pilot + np.linspace(-2.0, 2.0, 9)
-            values = [
-                kernels.mse_at(
-                    f, theta, conjecture.intercept, conjecture.slope,
-                    params.y_target, x, eps,
-                )
-                for f in grid
-            ]
-            second = np.diff(values, n=2)
-            assert (second > 0.0).all()
+            b, c = conjecture.intercept, conjecture.slope
+
+            def mse(f):
+                adj = (c * params.y_target - f + b) / c
+                return np.mean((theta + x * adj + eps - f) ** 2)
+
+            best = optimal_forecast(conjecture, params)(theta)
+            for half in (2.0, 1e-2, 5e-5):
+                grid = best + np.linspace(-half, half, 401)
+                best = float(grid[np.argmin([mse(f) for f in grid])])
+            f_hat = mc_mse_minimizer(theta, conjecture, params, dist, cfg)
+            assert abs(f_hat - best) <= cfg.tolerance
 
     def test_bracket_failure_when_halfwidth_is_too_tight(self):
         # the sample minimizer sits O(1/sqrt(n)) away from the pilot, far
