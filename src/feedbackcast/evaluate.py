@@ -162,9 +162,12 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
         series.forecast, series.realization, window
     )
     if flat.any():
-        first = int(np.argmax(flat))
+        starts = np.flatnonzero(flat)
+        first = series.periods[starts[0] + window - 1]
+        last = series.periods[starts[-1] + window - 1]
         raise ZeroVariance(
-            f"constant forecasts in window ending {series.periods[first + window - 1]!r}"
+            f"constant forecasts in {starts.size} of {flat.size} windows; "
+            f"the first ends at {first!r}, the last at {last!r}"
         )
     return RollingResult(
         window=window,

@@ -7,8 +7,6 @@ arrays and interpreted by callers).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -52,6 +50,10 @@ def menu_play(theta, x, eps, a0, a1, y_target):
     return forecast, action, outcome, error
 
 
+# elements in each (windows x window) work buffer of rolling_ols
+_CHUNK_ELEMS = 1 << 16
+
+
 def rolling_ols(xs, ys, window):
     """Per-window least squares of ys on xs over every contiguous window.
 
@@ -60,43 +62,65 @@ def rolling_ols(xs, ys, window):
     zero regressor variance (their fit columns are NaN). ``mean_error`` is
     the window mean of ys - xs, computed by rolling_mean. R-squared is 1.0 by
     convention when the window's ys are constant.
+
+    The windows are strided views of xs and ys (no copies), fitted
+    ``_CHUNK_ELEMS // window`` windows at a time through three reused
+    (chunk, window) float64 work buffers. Beyond the outputs, memory is
+    bounded by those buffers (1.5 MB together for any window up to
+    ``_CHUNK_ELEMS``) plus a few per-window arrays of the chunk's length.
+    Each window is reduced with the same expressions, in the same order, as
+    a fit of its slice alone, so the outputs do not depend on the chunking.
+    Raises ValueError unless 3 <= window <= len(xs) == len(ys).
     """
     xs, ys = _as_f64(xs), _as_f64(ys)
     window = int(window)
+    if xs.shape != ys.shape:
+        raise ValueError(f"xs and ys lengths differ ({xs.shape} vs {ys.shape})")
+    if not 3 <= window <= xs.shape[0]:
+        raise ValueError(f"window must be in [3, {xs.shape[0]}], got {window}")
     x_bar = rolling_mean(xs, window)
     y_bar = rolling_mean(ys, window)
     mean_error = rolling_mean(ys - xs, window)
+    x_win = sliding_window_view(xs, window)
+    y_win = sliding_window_view(ys, window)
     m = x_bar.shape[0]
-    intercept = np.full(m, np.nan)
-    slope = np.full(m, np.nan)
-    intercept_se = np.full(m, np.nan)
-    slope_se = np.full(m, np.nan)
-    r_squared = np.full(m, np.nan)
-    flat = np.zeros(m, dtype=np.uint8)
-    for w in range(m):
-        sl = slice(w, w + window)
-        xw = xs[sl]
-        yw = ys[sl]
-        xb = x_bar[w]
-        yb = y_bar[w]
-        dx = xw - xb
-        dy = yw - yb
-        sxx = float(np.sum(dx * dx))
-        sxy = float(np.sum(dx * dy))
-        syy = float(np.sum(dy * dy))
-        if sxx == 0.0:
-            flat[w] = 1
-            continue
-        bhat = sxy / sxx
-        ahat = yb - bhat * xb
-        resid = yw - ahat - bhat * xw
-        ssr = float(np.sum(resid * resid))
-        sig2 = ssr / (window - 2)
-        slope[w] = bhat
-        intercept[w] = ahat
-        slope_se[w] = math.sqrt(sig2 / sxx)
-        intercept_se[w] = math.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
-        r_squared[w] = 1.0 - ssr / syy if syy > 0.0 else 1.0
+    intercept = np.empty(m)
+    slope = np.empty(m)
+    intercept_se = np.empty(m)
+    slope_se = np.empty(m)
+    r_squared = np.empty(m)
+    flat = np.empty(m, dtype=np.uint8)
+    step = min(m, max(1, _CHUNK_ELEMS // window))
+    dx_buf = np.empty((step, window))
+    dy_buf = np.empty((step, window))
+    sq_buf = np.empty((step, window))
+    for lo in range(0, m, step):
+        fit = slice(lo, min(lo + step, m))
+        xw, yw, xb, yb = x_win[fit], y_win[fit], x_bar[fit], y_bar[fit]
+        k = xb.shape[0]
+        dx, dy, sq = dx_buf[:k], dy_buf[:k], sq_buf[:k]
+        np.subtract(xw, xb[:, None], out=dx)
+        np.subtract(yw, yb[:, None], out=dy)
+        sxx = np.sum(np.multiply(dx, dx, out=sq), axis=1)
+        sxy = np.sum(np.multiply(dx, dy, out=sq), axis=1)
+        syy = np.sum(np.multiply(dy, dy, out=sq), axis=1)
+        is_flat = sxx == 0.0
+        # flat windows divide by zero here; their columns become NaN below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bhat = sxy / sxx
+            ahat = yb - bhat * xb
+            resid = np.subtract(yw, ahat[:, None], out=dy)
+            np.subtract(resid, np.multiply(bhat[:, None], xw, out=sq), out=resid)
+            ssr = np.sum(np.multiply(resid, resid, out=sq), axis=1)
+            sig2 = ssr / (window - 2)
+            slope[fit] = bhat
+            intercept[fit] = ahat
+            slope_se[fit] = np.sqrt(sig2 / sxx)
+            intercept_se[fit] = np.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
+            r_squared[fit] = np.where(syy > 0.0, 1.0 - ssr / syy, 1.0)
+        for column in (intercept, slope, intercept_se, slope_se, r_squared):
+            column[fit][is_flat] = np.nan
+        flat[fit] = is_flat
     return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
 
 from . import kernels
 from .errors import (
@@ -160,6 +159,10 @@ def _phi(z: float) -> float:
 
 
 def _truncnorm_moments(m: float, s: float, lo: float, hi: float) -> tuple[float, float]:
+    # scipy is imported where the truncated normal needs it, so importing the
+    # package (and every other family) does not pay for it
+    from scipy import special
+
     alpha = (lo - m) / s
     if math.isinf(hi):
         beta = math.inf
@@ -187,6 +190,8 @@ def _truncnorm_parent(
     mean: float, var: float, lo: float, hi: float
 ) -> tuple[float, float]:
     """Parent (m, s) of the truncated normal matching (mean, var) on [lo, hi)."""
+    from scipy import optimize
+
     sd = math.sqrt(var)
 
     def residual(p):
@@ -243,6 +248,8 @@ def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
         a, b = _beta_shape(spec.target_mean, spec.target_var, lo, hi)
         draws = lo + (hi - lo) * rng.beta(a, b, n)
         return np.clip(draws, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    from scipy import special
+
     m, s = _truncnorm_parent(spec.target_mean, spec.target_var, lo, hi)
     p_lo = float(special.ndtr((lo - m) / s))
     p_hi = 1.0 if math.isinf(hi) else float(special.ndtr((hi - m) / s))

@@ -1,9 +1,14 @@
 """End-to-end coverage of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import feedbackcast
 from feedbackcast.cli import ENV_SEED, main
 from feedbackcast.model import ModelParams, equilibrium_bias_and_mz
 
@@ -401,3 +406,19 @@ class TestConfigFile:
         assert code == 0
         rows = (tmp_path / "boolrun_draws.csv").read_text().splitlines()[1:]
         assert {row.split(",")[3] for row in rows} == {"0.25"}
+
+
+class TestImport:
+    def test_package_and_cli_import_without_scipy(self):
+        # a fresh interpreter, so modules other tests loaded do not count
+        src = str(Path(feedbackcast.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        code = (
+            "import sys, feedbackcast, feedbackcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

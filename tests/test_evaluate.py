@@ -138,6 +138,22 @@ class TestRollingMz:
             rolling_mz(series, window=3)
         assert "d" in str(exc.value)
 
+    def test_flat_windows_counted_from_first_to_last(self):
+        labels = tuple(f"p{i:02d}" for i in range(12))
+        forecasts = np.array(
+            [0.0, 1.0, 5.0, 5.0, 5.0, 5.0, 2.0, 3.0, 7.0, 7.0, 7.0, 4.0]
+        )
+        series = ForecastSeries(
+            periods=labels, forecast=forecasts, realization=np.arange(12.0)
+        )
+        # flat windows end at p04 and p05 (first run) and p10 (second run)
+        with pytest.raises(ZeroVariance) as exc:
+            rolling_mz(series, window=3)
+        message = str(exc.value)
+        assert "3 of 10 windows" in message
+        assert "'p04'" in message and "'p10'" in message
+        assert "'p05'" not in message
+
     def test_shifting_realizations_shifts_only_the_intercept(self):
         series = _random_series(80, seed=5)
         shifted = ForecastSeries(

@@ -1,11 +1,50 @@
 """Values of the numpy hot loops against scalar and per-slice references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from feedbackcast import kernels
+
+
+def _rolling_ols_by_window(xs, ys, window):
+    """One least-squares fit per window slice, written out scalar by scalar:
+    the arithmetic rolling_ols must reproduce bit for bit."""
+    x_bar = kernels.rolling_mean(xs, window)
+    y_bar = kernels.rolling_mean(ys, window)
+    m = x_bar.shape[0]
+    intercept, slope, intercept_se, slope_se, r_squared = (
+        np.full(m, np.nan) for _ in range(5)
+    )
+    flat = np.zeros(m, dtype=np.uint8)
+    for w in range(m):
+        xw = xs[w : w + window]
+        yw = ys[w : w + window]
+        xb = x_bar[w]
+        yb = y_bar[w]
+        dx = xw - xb
+        dy = yw - yb
+        sxx = float(np.sum(dx * dx))
+        sxy = float(np.sum(dx * dy))
+        syy = float(np.sum(dy * dy))
+        if sxx == 0.0:
+            flat[w] = 1
+            continue
+        bhat = sxy / sxx
+        ahat = yb - bhat * xb
+        resid = yw - ahat - bhat * xw
+        ssr = float(np.sum(resid * resid))
+        sig2 = ssr / (window - 2)
+        slope[w] = bhat
+        intercept[w] = ahat
+        slope_se[w] = math.sqrt(sig2 / sxx)
+        intercept_se[w] = math.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
+        r_squared[w] = 1.0 - ssr / syy if syy > 0.0 else 1.0
+    mean_error = kernels.rolling_mean(ys - xs, window)
+    return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
+
 
 class TestReactPlayValues:
     def test_matches_scalar_arithmetic(self):
@@ -96,6 +135,56 @@ class TestRollingOls:
         *_, r2, _, flat = kernels.rolling_ols(xs, ys, 3)
         assert flat[0] == 0
         assert r2[0] == 1.0
+
+    @pytest.mark.parametrize("window", [3, 40, 129])
+    def test_chunked_pass_equals_the_per_window_fit(self, window):
+        # one and a half chunks of windows, so the last chunk is partial
+        step = max(1, kernels._CHUNK_ELEMS // window)
+        n = step + step // 2 + window - 1
+        rng = np.random.default_rng(window)
+        xs = rng.normal(0.0, 1.0, n)
+        ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, n)
+        # constant regressors over windows step-2 .. step+1 straddle the
+        # first chunk boundary; sums of 2.0 divide back to exactly 2.0
+        xs[step - 2 : step + window + 1] = 2.0
+        # one window of constant outcomes, away from the flat run
+        ys[10 : 10 + window] = 4.0
+        # one window whose squared deviations underflow to zero while its
+        # cross products do not: flat, though sxy / sxx would be infinite
+        xs[window + 20 : 2 * window + 20] = 1e-170 * np.arange(window)
+        got = kernels.rolling_ols(xs, ys, window)
+        want = _rolling_ols_by_window(xs, ys, window)
+        assert got[6][step - 2 : step + 2].tolist() == [1, 1, 1, 1]
+        assert got[6][window + 20] == 1
+        assert got[4][10] == 1.0
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("window", [0, 2, 11])
+    def test_window_outside_three_to_length_rejected(self, window):
+        xs = np.arange(10.0)
+        with pytest.raises(ValueError):
+            kernels.rolling_ols(xs, xs * 2.0, window)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.rolling_ols(np.arange(10.0), np.arange(9.0), 3)
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        rng = np.random.default_rng(11)
+        xs = rng.normal(0.0, 1.0, 60_000)
+        ys = xs + rng.normal(0.0, 1.0, 60_000)
+        peaks = {}
+        for window in (40, 1000):
+            tracemalloc.start()
+            try:
+                kernels.rolling_ols(xs, ys, window)
+                peaks[window] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] <= 1.1 * peaks[40]
+        assert peaks[1000] < 8 * 2**20
 
 
 class TestRollingMean:
