@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +48,30 @@ ENV_SEED = "FEEDBACKCAST_SEED"
 
 def _fmt(value: float) -> str:
     return "%.10g" % value
+
+
+_BLOCK_ROWS = 4096
+
+
+def _write_table(handle, header: str, fmts, cols) -> None:
+    """Write ``header`` and one CSV row per index of the equal-length ``cols``.
+
+    ``fmts`` holds one %-conversion per column: ``"%.10g"`` for numbers (the
+    conversion ``_fmt`` applies, so the bytes match a per-value writer) and
+    ``"%s"`` for labels. Rows go out in blocks of ``_BLOCK_ROWS``, each
+    formatted by a single ``str %``, so memory stays bounded by one block.
+    """
+    handle.write(header + "\n")
+    row = ",".join(fmts) + "\n"
+    n = len(cols[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        parts = [col[start : start + _BLOCK_ROWS] for col in cols]
+        values = tuple(
+            chain.from_iterable(
+                zip(*(p.tolist() if isinstance(p, np.ndarray) else p for p in parts))
+            )
+        )
+        handle.write(row * len(parts[0]) % values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,8 +201,8 @@ def cmd_sweep(ns) -> int:
         raise ValueError("need 0 <= tau2-min <= tau2-max")
     if ns.steps < 2:
         raise ValueError(f"steps must be >= 2, got {ns.steps}")
-    if ns.clip is not None and ns.clip <= 0.0:
-        raise ValueError(f"clip must be positive, got {ns.clip}")
+    if ns.clip is not None and not (math.isfinite(ns.clip) and ns.clip > 0.0):
+        raise ValueError(f"clip must be finite and positive, got {ns.clip}")
 
     lines = ["mu,tau2,mz_slope,mz_intercept,exists"]
     grid = np.linspace(ns.tau2_min, ns.tau2_max, ns.steps)
@@ -240,10 +265,12 @@ def cmd_simulate(ns) -> int:
     draws_path = f"{ns.out_prefix}_draws.csv"
     summary_path = f"{ns.out_prefix}_summary.json"
     with open(draws_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("theta,x,forecast,action,outcome,error\n")
-        cols = (out.theta, out.x, out.forecast, out.action, out.outcome, out.error)
-        for row in zip(*cols):
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_table(
+            handle,
+            "theta,x,forecast,action,outcome,error",
+            ("%.10g",) * 6,
+            (out.theta, out.x, out.forecast, out.action, out.outcome, out.error),
+        )
 
     s = out.summary
     summary = {
@@ -307,26 +334,23 @@ def cmd_evaluate(ns) -> int:
         )
     )
     rolling = rolling_mz(series, ns.window)
-    lines = ["window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error"]
-    for i, label in enumerate(rolling.window_end):
-        lines.append(
-            ",".join(
-                (
-                    label,
-                    _fmt(rolling.mz_intercept[i]),
-                    _fmt(rolling.mz_slope[i]),
-                    _fmt(rolling.slope_stderr[i]),
-                    _fmt(rolling.r_squared[i]),
-                    _fmt(rolling.mean_error[i]),
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    table = (
+        "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error",
+        ("%s",) + ("%.10g",) * 5,
+        (
+            rolling.window_end,
+            rolling.mz_intercept,
+            rolling.mz_slope,
+            rolling.slope_stderr,
+            rolling.r_squared,
+            rolling.mean_error,
+        ),
+    )
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            _write_table(handle, *table)
     else:
-        sys.stdout.write(text)
+        _write_table(sys.stdout, *table)
     return 0
 
 
@@ -443,6 +467,10 @@ def _coerce_config_value(action: argparse.Action, value):
             return False
         raise ValueError(f"config key {action.dest!r}: expected a boolean, got {value!r}")
     convert = action.type if action.type is not None else str
+    # bool is an int subclass, so JSON true/false would pass as 1/0
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if convert in (float, int) and any(isinstance(item, bool) for item in items):
+        raise ValueError(f"config key {action.dest!r}: expected a number, got {value!r}")
     if action.nargs in ("+", "*", 2):
         items = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
         return [convert(item) for item in items]

@@ -4,13 +4,61 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import feedbackcast
-from feedbackcast.cli import ENV_SEED, main
+from feedbackcast.cli import ENV_SEED, _BLOCK_ROWS, _fmt, _write_table, main
+from feedbackcast.evaluate import ingest_csv, rolling_mz
 from feedbackcast.model import ModelParams, equilibrium_bias_and_mz
+from feedbackcast.simulate import (
+    PolicyShockSpec,
+    SimulationRun,
+    StateNoiseSpec,
+    play_game,
+)
+
+
+DRAWS_HEADER = "theta,x,forecast,action,outcome,error"
+ROLLING_HEADER = "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error"
+
+# values whose %.10g text is easy to get wrong: signed zero, the smallest
+# subnormal, exponent form, a rounding tail, and integers past 10 digits
+EDGE_VALUES = (-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 123456789012.0, -2.5)
+
+ROW_COUNTS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
+
+
+def _write_rows(path, header, cols):
+    """The per-row writer the block writer replaced: one ``_fmt`` per number,
+    labels as they are, one ``join`` and ``write`` per row."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header + "\n")
+        for row in zip(*cols):
+            handle.write(
+                ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+            )
+
+
+def _write_blocks(path, header, fmts, cols):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        _write_table(handle, header, fmts, cols)
+
+
+def _edge_columns(n, k, seed):
+    """k seeded float columns of length n; each starts with EDGE_VALUES,
+    rotated by its column index so every edge value meets every column."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for j in range(k):
+        col = rng.normal(0.0, 10.0, n) * rng.choice([1e-8, 1.0, 1e8], n)
+        for i in range(min(n, len(EDGE_VALUES))):
+            col[i] = EDGE_VALUES[(i + j) % len(EDGE_VALUES)]
+        cols.append(col)
+    return cols
 
 
 def _run(capsys, argv):
@@ -196,6 +244,10 @@ class TestSweep:
              "--steps", "1"],
             ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
              "--steps", "3", "--clip", "0"],
+            ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
+             "--steps", "3", "--clip", "nan"],
+            ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
+             "--steps", "3", "--clip", "inf"],
         ],
     )
     def test_validation_exit_1(self, capsys, argv):
@@ -287,6 +339,85 @@ class TestSimulate:
         rows = (tmp_path / "menu_draws.csv").read_text().splitlines()[1:]
         actions = {row.split(",")[3] for row in rows}
         assert actions <= {"0", "0.5"}
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_draws_match_the_per_row_writer(self, tmp_path, n):
+        cols = _edge_columns(n, 6, seed=n)
+        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+        _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\n") == n + 1
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_rolling_match_the_per_row_writer(self, tmp_path, n):
+        labels = tuple(f"p{i:06d}" for i in range(n))
+        cols = [labels, *_edge_columns(n, 5, seed=n + 1)]
+        fmts = ("%s",) + ("%.10g",) * 5
+        _write_blocks(tmp_path / "blocks.csv", ROLLING_HEADER, fmts, cols)
+        _write_rows(tmp_path / "rows.csv", ROLLING_HEADER, cols)
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\n") == n + 1
+
+    def test_simulate_draws_file_matches_the_per_row_writer(self, capsys, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        prefix = tmp_path / "sim"
+        assert main(_simulate_argv(prefix, ["--n", str(n), "--seed", "5"])) == 0
+        capsys.readouterr()
+        out = play_game(
+            SimulationRun(draw_count=n, seed=5, scenario="taylor_rule"),
+            PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1),
+            StateNoiseSpec(),
+            ModelParams(mu=0.5, tau2=0.1, y_target=2.0),
+        )
+        cols = (out.theta, out.x, out.forecast, out.action, out.outcome, out.error)
+        _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
+        got = (tmp_path / "sim_draws.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+
+    def test_evaluate_stdout_equals_the_out_file(self, capsys, tmp_path):
+        window = 40
+        n = _BLOCK_ROWS + window + 10
+        f, y = _edge_columns(n, 2, seed=3)
+        f += np.arange(n)  # no flat window
+        path = tmp_path / "series.csv"
+        _write_rows(path, "period,forecast,realization",
+                    (tuple(f"t{i:05d}" for i in range(n)), f, y))
+        argv = ["evaluate", str(path), "--window", str(window)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        first, table = out.split("\n", 1)
+        assert first.startswith("full_sample_mz:")
+        out_path = tmp_path / "rolling.csv"
+        code, out2, _ = _run(capsys, argv + ["--out", str(out_path)])
+        assert code == 0
+        assert out2 == first + "\n"
+        assert table.encode("utf-8") == out_path.read_bytes()
+        rolling = rolling_mz(ingest_csv(path), window)
+        cols = (
+            rolling.window_end, rolling.mz_intercept, rolling.mz_slope,
+            rolling.slope_stderr, rolling.r_squared, rolling.mean_error,
+        )
+        _write_rows(tmp_path / "rows.csv", ROLLING_HEADER, cols)
+        assert out_path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert table.count("\n") == n - window + 2
+
+    def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        # the whole 200k-row text would be about 16 MB
+        peaks = {}
+        for n in (20_000, 200_000):
+            cols = _edge_columns(n, 6, seed=4)
+            tracemalloc.start()
+            try:
+                _write_blocks(tmp_path / "draws.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] <= 1.1 * peaks[20_000]
+        assert peaks[200_000] < 4 * 2**20
 
 
 class TestEvaluate:
@@ -394,6 +525,21 @@ class TestConfigFile:
         summary = json.loads((tmp_path / "cfgrun_summary.json").read_text())
         assert summary["scenario"] == "constrained_menu"
         assert summary["seed"] == 4
+
+    @pytest.mark.parametrize("key,value", [("n", True), ("seed", False), ("mu", True)])
+    def test_json_boolean_for_a_number_exit_1(self, capsys, tmp_path, key, value):
+        prefix = tmp_path / "boolnum"
+        config = {
+            "scenario": "taylor_rule", "mu": 0.5, "tau2": 0.1, "n": 100,
+            "seed": 1, "out-prefix": str(prefix),
+        }
+        config[key] = value
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 1
+        assert repr(key) in err
+        assert not (tmp_path / "boolnum_draws.csv").exists()
 
     def test_boolean_coercion(self, capsys, tmp_path):
         prefix = tmp_path / "boolrun"
