@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage or validation problem, 2 model infeasibility
 digits with a locale-independent decimal point; JSON reports carry full
 float precision so they round-trip.
 
-A config file (``--config``, JSON object or flat ``key=value`` lines) seeds
-the defaults of the chosen subcommand; explicit flags always win. The
+A config file (``--config``, JSON object or flat ``key=value`` lines) stands
+for the command-line flags its keys name, placed before the explicit ones, so
+argparse converts and checks every value and explicit flags always win. The
 ``FEEDBACKCAST_SEED`` environment variable supplies the default seed when
 ``--seed`` is absent.
 """
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -36,6 +38,8 @@ from .model import (
     solve_equilibria,
 )
 from .simulate import (
+    FAMILIES,
+    SCENARIOS,
     PolicyShockSpec,
     SimulationRun,
     StateNoiseSpec,
@@ -82,14 +86,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rule_dict(rule) -> dict:
-    return {"intercept": rule.intercept, "slope": rule.slope}
-
-
-def _bias_dict(line) -> dict:
-    return {"coef_theta": line.coef_theta, "coef_const": line.coef_const}
-
-
 def _fit_dict(fit) -> dict | None:
     """Uniform JSON shape for a fitted regression line (MZ fit of outcome on
     forecast, or bias fit of error on state: slope is the theta coefficient)."""
@@ -129,6 +125,15 @@ def _conjecture_from(ns) -> LinearRule | None:
     return LinearRule(intercept=ns.b, slope=ns.c)
 
 
+def _conjecture_report(conjecture: LinearRule, params: ModelParams) -> dict:
+    return {
+        "conjecture": asdict(conjecture),
+        "optimal_rule": asdict(optimal_forecast(conjecture, params)),
+        "bias_line": asdict(bias_line(conjecture, params)),
+        "mz_line": asdict(mz_line(conjecture, params)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -136,14 +141,7 @@ def cmd_solve(ns) -> int:
     params = ModelParams(mu=ns.mu, tau2=ns.tau2, sigma2=ns.sigma2, y_target=ns.ytarget)
     conjecture = _conjecture_from(ns)
 
-    report: dict = {
-        "params": {
-            "mu": params.mu,
-            "tau2": params.tau2,
-            "sigma2": params.sigma2,
-            "y_target": params.y_target,
-        }
-    }
+    report: dict = {"params": asdict(params)}
 
     sol = solve_equilibria(params)
     roots = []
@@ -168,25 +166,15 @@ def cmd_solve(ns) -> int:
     if sol.exists and not sol.degenerate[0]:
         eq_bias, eq_mz = equilibrium_bias_and_mz(params)
         report["equilibrium"] = {
-            "rule": _rule_dict(sol.rule(1)),
-            "bias_line": _bias_dict(eq_bias),
-            "mz_line": _rule_dict(eq_mz),
+            "rule": asdict(sol.rule(1)),
+            "bias_line": asdict(eq_bias),
+            "mz_line": asdict(eq_mz),
         }
 
-    report["taylor"] = {
-        "conjecture": _rule_dict(TAYLOR_RULE),
-        "optimal_rule": _rule_dict(optimal_forecast(TAYLOR_RULE, params)),
-        "bias_line": _bias_dict(bias_line(TAYLOR_RULE, params)),
-        "mz_line": _rule_dict(mz_line(TAYLOR_RULE, params)),
-    }
+    report["taylor"] = _conjecture_report(TAYLOR_RULE, params)
 
     if conjecture is not None:
-        report["conjecture"] = {
-            "conjecture": _rule_dict(conjecture),
-            "optimal_rule": _rule_dict(optimal_forecast(conjecture, params)),
-            "bias_line": _bias_dict(bias_line(conjecture, params)),
-            "mz_line": _rule_dict(mz_line(conjecture, params)),
-        }
+        report["conjecture"] = _conjecture_report(conjecture, params)
     elif not sol.exists:
         raise NoEquilibrium(
             f"tau2 = {params.tau2} > 1/4: no equilibrium, and no conjecture given"
@@ -277,23 +265,9 @@ def cmd_simulate(ns) -> int:
         "scenario": run.scenario,
         "draw_count": run.draw_count,
         "seed": run.seed,
-        "params": {
-            "mu": params.mu,
-            "tau2": params.tau2,
-            "sigma2": params.sigma2,
-            "y_target": params.y_target,
-        },
-        "shock": {
-            "family": shock.family,
-            "target_mean": shock.target_mean,
-            "target_var": shock.target_var,
-            "support": list(shock.bounds),
-        },
-        "state": {
-            "theta_mean": state.theta_mean,
-            "theta_var": state.theta_var,
-            "noise_var": state.noise_var,
-        },
+        "params": asdict(params),
+        "shock": {**asdict(shock), "support": list(shock.bounds)},
+        "state": asdict(state),
         "summary": {
             "mean_error": s.mean_error,
             "mse": s.mse,
@@ -322,6 +296,8 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_evaluate(ns) -> int:
+    if ns.input is None:
+        raise ValueError("evaluate needs an input CSV (positional or config key 'input')")
     series = ingest_csv(ns.input)
     full = ols_mz(series.forecast, series.realization)
     print(
@@ -392,19 +368,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sim = subs.add_parser(
         "simulate", help="play the game and write draws + summary"
     )
-    sim.add_argument(
-        "--scenario",
-        required=True,
-        choices=["conjecture_rule", "equilibrium", "taylor_rule", "conditional", "constrained_menu"],
-    )
+    sim.add_argument("--scenario", required=True, choices=SCENARIOS)
     sim.add_argument("--mu", type=float, required=True)
     sim.add_argument("--tau2", type=float, required=True)
     sim.add_argument("--sigma2", type=float, default=1.0)
     sim.add_argument("--ytarget", type=float, default=0.0)
     sim.add_argument("--theta-mean", type=float, default=0.0)
     sim.add_argument("--theta-var", type=float, default=1.0)
-    sim.add_argument("--family", default="beta_scaled",
-                     choices=["beta_scaled", "truncated_normal", "degenerate"])
+    sim.add_argument("--family", default="beta_scaled", choices=FAMILIES)
     sim.add_argument("--support-lo", type=float, default=None)
     sim.add_argument("--support-hi", type=float, default=None)
     sim.add_argument("--b", type=float, default=None, help="conjecture intercept")
@@ -423,7 +394,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ev = subs.add_parser(
         "evaluate", help="rolling MZ regression over a forecast CSV"
     )
-    ev.add_argument("input", help="CSV with header period,forecast,realization")
+    ev.add_argument(
+        "input", nargs="?", default=None, help="CSV with header period,forecast,realization"
+    )
     ev.add_argument("--window", type=int, default=40)
     ev.add_argument("--out", default=None)
     ev.add_argument("--config", default=None)
@@ -456,40 +429,32 @@ def _load_config_mapping(path: str) -> dict:
     return mapping
 
 
-def _coerce_config_value(action: argparse.Action, value):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        if isinstance(value, bool):
-            return value
+def _config_tokens(action: argparse.Action, value) -> list[str]:
+    """The command-line tokens that config value ``value`` for ``action``
+    stands for."""
+    if isinstance(action, argparse._StoreTrueAction):
         text = str(value).strip().lower()
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {action.dest!r}: expected a boolean, got {value!r}")
-    convert = action.type if action.type is not None else str
-    # bool is an int subclass, so JSON true/false would pass as 1/0
+        if text not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"config key {action.dest!r}: expected a boolean, got {value!r}")
+        return [action.option_strings[0]] if text in ("true", "1", "yes") else []
+    flag = action.option_strings[0]
     items = value if isinstance(value, (list, tuple)) else [value]
-    if convert in (float, int) and any(isinstance(item, bool) for item in items):
+    # bool is an int subclass, and str(True) would reach argparse as 'True'
+    if action.type in (float, int) and any(isinstance(item, bool) for item in items):
         raise ValueError(f"config key {action.dest!r}: expected a number, got {value!r}")
-    if action.nargs in ("+", "*", 2):
-        items = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
-        return [convert(item) for item in items]
+    if action.nargs is None:
+        # --flag=value, so a value starting with '-' is not read as a flag
+        return [f"{flag}={value}"]
     if isinstance(value, str):
-        return convert(value)
-    if convert is float and isinstance(value, (int, float)):
-        return float(value)
-    if convert is int:
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-    return convert(str(value))
+        items = value.replace(",", " ").split()
+    return [flag, *map(str, items)]
 
 
-def _apply_config_file(argv: list[str], table: dict[str, _Parser]) -> None:
+def _apply_config_file(argv: list[str], table: dict[str, _Parser]) -> list[str]:
+    """``argv`` with the tokens of its ``--config`` file placed right after the
+    subcommand, where the explicit flags that follow override them."""
     if not argv or argv[0] not in table:
-        return
-    sub = table[argv[0]]
+        return argv
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -497,24 +462,27 @@ def _apply_config_file(argv: list[str], table: dict[str, _Parser]) -> None:
         elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
     if path is None:
-        return
-    mapping = _load_config_mapping(path)
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
-    defaults = {}
-    for key, value in mapping.items():
+        return argv
+    actions = {a.dest: a for a in table[argv[0]]._actions if a.dest != "help"}
+    tokens: list[str] = []
+    for key, value in _load_config_mapping(path).items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r} for subcommand {argv[0]!r}")
         action = actions[key]
-        defaults[key] = _coerce_config_value(action, value)
-        action.required = False
-    sub.set_defaults(**defaults)
+        if action.option_strings:
+            tokens += _config_tokens(action, value)
+        else:
+            # a positional given twice is an error, so the config value is its
+            # default and an explicit positional replaces it
+            action.default = str(value)
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, table = _build_parser()
     try:
-        _apply_config_file(argv, table)
+        argv = _apply_config_file(argv, table)
         try:
             ns = parser.parse_args(argv)
         except SystemExit as exc:

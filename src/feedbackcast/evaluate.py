@@ -104,7 +104,8 @@ def ingest_csv(source: Union[str, Path, IO[str]]) -> ForecastSeries:
     """
     if hasattr(source, "read"):
         return _ingest_stream(source)
-    with open(source, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that Excel writes before the header
+    with open(source, newline="", encoding="utf-8-sig") as handle:
         return _ingest_stream(handle)
 
 

@@ -176,7 +176,7 @@ def dm_optimal_action(x: float, expected_state: float, params: ModelParams) -> f
     if x <= 0.0:
         raise ValueError(f"reaction strength x must be positive, got {x}")
     expected_state = _require_finite("expected_state", expected_state)
-    return x * (params.y_target - expected_state)
+    return _require_finite("action", x * (params.y_target - expected_state))
 
 
 def reaction_from_conjecture(
@@ -190,11 +190,8 @@ def reaction_from_conjecture(
     i.e. ``dm_optimal_action`` with the conjecture-implied state (f - b)/c.
     """
     b, c = _check_conjecture(conjecture)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise ValueError(f"reaction strength x must be positive, got {x}")
     forecast_value = _require_finite("forecast_value", forecast_value)
-    return x * (params.y_target - (forecast_value - b) / c)
+    return dm_optimal_action(x, (forecast_value - b) / c, params)
 
 
 def optimal_forecast(conjecture: LinearRule, params: ModelParams) -> LinearRule:

@@ -41,6 +41,8 @@ from .model import (
 )
 
 __all__ = [
+    "SCENARIOS",
+    "FAMILIES",
     "PolicyShockSpec",
     "StateNoiseSpec",
     "SimulationRun",
@@ -63,7 +65,7 @@ SCENARIOS = (
     "constrained_menu",
 )
 
-_FAMILIES = ("beta_scaled", "truncated_normal", "degenerate")
+FAMILIES = ("beta_scaled", "truncated_normal", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class PolicyShockSpec:
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "target_mean", _require_finite("target_mean", self.target_mean))
         tv = float(self.target_var)
         if not math.isfinite(tv) or tv < 0.0:
@@ -303,6 +305,9 @@ class SimulationRun:
         Forecaster announces theta + a for both menu actions; each DM picks
         the cheaper one under its own cost t = 1/x - 1 and the recorded
         forecast is the one matching the chosen action.
+
+    A field the scenario does not use must stay unset, so a run is never
+    quietly a different game from the one asked for.
     """
 
     draw_count: int
@@ -326,20 +331,33 @@ class SimulationRun:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
 
+        conditional = self.scenario == "conditional"
         needs_conjecture = self.scenario == "conjecture_rule" or (
-            self.scenario == "conditional" and not self.dm_applies_assumed
+            conditional and not self.dm_applies_assumed
         )
+        unused = {
+            "conjecture": self.conjecture is not None and not needs_conjecture,
+            "assumed_action": self.assumed_action is not None and not conditional,
+            "dm_applies_assumed": self.dm_applies_assumed and not conditional,
+            "menu": self.menu is not None and self.scenario != "constrained_menu",
+            "equilibrium_index": self.equilibrium_index is not None
+            and self.scenario != "equilibrium",
+        }
+        for name, is_unused in unused.items():
+            if is_unused:
+                raise ValueError(
+                    f"scenario {self.scenario!r} does not use {name}, but it was set"
+                )
         if needs_conjecture:
             if self.conjecture is None:
                 raise ValueError(f"scenario {self.scenario!r} requires a conjecture")
             if self.conjecture.slope == 0.0:
                 raise DegenerateConjecture("conjectured slope is zero")
-        if self.scenario == "equilibrium" and self.equilibrium_index is not None:
-            if self.equilibrium_index not in (1, 2):
-                raise ValueError(
-                    f"equilibrium_index must be 1 or 2, got {self.equilibrium_index}"
-                )
-        if self.scenario == "conditional" and self.assumed_action is None:
+        if self.equilibrium_index not in (None, 1, 2):
+            raise ValueError(
+                f"equilibrium_index must be 1 or 2, got {self.equilibrium_index}"
+            )
+        if conditional and self.assumed_action is None:
             raise ValueError("scenario 'conditional' requires assumed_action")
         if self.assumed_action is not None:
             object.__setattr__(
@@ -470,39 +488,28 @@ def play_game(
     x = sample_policy_shock(shock, n, seed_x)
     eps = np.random.default_rng(seed_eps).normal(0.0, math.sqrt(sn.noise_var), n)
 
-    if run.scenario == "conjecture_rule":
-        cj = run.conjecture
-        rule = optimal_forecast(cj, params)
-        forecast, action, outcome, error = kernels.react_play(
-            theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope, params.y_target
-        )
-    elif run.scenario == "taylor_rule":
-        cj = TAYLOR_RULE
-        rule = optimal_forecast(cj, params)
-        forecast, action, outcome, error = kernels.react_play(
-            theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope, params.y_target
-        )
-    elif run.scenario == "equilibrium":
-        rule = solve_equilibria(params).rule(run.equilibrium_index)
-        forecast, action, outcome, error = kernels.react_play(
-            theta, x, eps, rule.intercept, rule.slope, rule.intercept, rule.slope, params.y_target
-        )
-    elif run.scenario == "conditional":
-        a0 = run.assumed_action
-        if run.dm_applies_assumed:
-            forecast = theta + a0
-            action = np.full(n, float(a0))
-            outcome = forecast + eps
-            error = outcome - forecast
-        else:
-            cj = run.conjecture
-            forecast, action, outcome, error = kernels.react_play(
-                theta, x, eps, a0, 1.0, cj.intercept, cj.slope, params.y_target
-            )
-    else:  # constrained_menu
+    if run.scenario == "constrained_menu":
         a0, a1 = run.menu
         forecast, action, outcome, error = kernels.menu_play(
             theta, x, eps, a0, a1, params.y_target
+        )
+    elif run.dm_applies_assumed:  # only ever set under "conditional"
+        a0 = run.assumed_action
+        forecast = theta + a0
+        action = np.full(n, float(a0))
+        outcome = forecast + eps
+        error = outcome - forecast
+    else:
+        # the published rule and the conjecture the DM reads it through
+        if run.scenario == "equilibrium":
+            rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
+        elif run.scenario == "conditional":
+            rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
+        else:
+            cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
+            rule = optimal_forecast(cj, params)
+        forecast, action, outcome, error = kernels.react_play(
+            theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope, params.y_target
         )
 
     return SimulationOutput(

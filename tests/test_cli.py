@@ -327,6 +327,19 @@ class TestSimulate:
         code, _, _ = _run(capsys, _simulate_argv(tmp_path / "x", extra))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--menu", "0", "1", "--a0", "3", "--equilibrium-index", "2"], "assumed_action"),
+            (["--scenario", "equilibrium", "--b", "1", "--c", "2"], "conjecture"),
+        ],
+    )
+    def test_settings_the_scenario_does_not_use_exit_1(self, capsys, tmp_path, extra, field):
+        code, _, err = _run(capsys, _simulate_argv(tmp_path / "unused", extra))
+        assert code == 1
+        assert f"does not use {field}" in err
+        assert not (tmp_path / "unused_draws.csv").exists()
+
     def test_menu_scenario_via_flags(self, capsys, tmp_path):
         prefix = tmp_path / "menu"
         argv = [
@@ -552,6 +565,86 @@ class TestConfigFile:
         assert code == 0
         rows = (tmp_path / "boolrun_draws.csv").read_text().splitlines()[1:]
         assert {row.split(",")[3] for row in rows} == {"0.25"}
+
+
+    @pytest.mark.parametrize(
+        "argv,name,text,flag",
+        [
+            (["solve"], "solve.cfg", "mu=0.5\ntau2=abc\n", "--tau2"),
+            (
+                ["sweep"],
+                "sweep.json",
+                json.dumps({"mu": [1], "tau2-min": 0.05, "tau2-max": 0.2, "steps": 2.5}),
+                "--steps",
+            ),
+        ],
+        ids=["tau2-key-value", "steps-json"],
+    )
+    def test_conversion_error_names_the_flag(self, capsys, tmp_path, argv, name, text, flag):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, _, err = _run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 1
+        assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("sim.json", json.dumps({"n": 100.0})),
+            ("sim.cfg", "n=100.0\n"),
+        ],
+        ids=["json", "key-value"],
+    )
+    def test_float_text_for_an_integer_flag_exit_1(self, capsys, tmp_path, name, text):
+        # a config value means what the same text means after its flag
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, _, err = _run(capsys, _simulate_argv(tmp_path / "float_n", ["--config", str(cfg)]))
+        assert code == 1
+        assert "argument --n: invalid int value: '100.0'" in err
+        assert not (tmp_path / "float_n_draws.csv").exists()
+
+    def test_value_starting_with_a_dash_is_a_value(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            json.dumps(
+                {"scenario": "taylor_rule", "mu": 0.5, "tau2": 0.1, "n": 50,
+                 "seed": 1, "out-prefix": "-dashed"}
+            )
+        )
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 0, err
+        assert (tmp_path / "-dashed_draws.csv").exists()
+
+    def test_evaluate_input_from_config_and_positional_beats_it(self, capsys, tmp_path):
+        lines = ["period,forecast,realization"]
+        lines += [f"t{i:02d},{float(i)},{i + 0.5}" for i in range(10)]
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"input={series}\nwindow=5\n")
+        code, out, err = _run(capsys, ["evaluate", "--config", str(cfg)])
+        assert code == 0, err
+        assert len(out.splitlines()) == 8
+        cfg.write_text(f"input={tmp_path / 'missing.csv'}\nwindow=5\n")
+        code, explicit, err = _run(capsys, ["evaluate", str(series), "--config", str(cfg)])
+        assert code == 0, err
+        assert explicit == out
+
+    def test_evaluate_without_any_input_exit_1(self, capsys):
+        code, _, err = _run(capsys, ["evaluate", "--window", "5"])
+        assert code == 1
+        assert "input" in err
+
+    def test_flag_overrides_config_for_a_list_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps({"mu": [0.5, 0.7, 0.9], "tau2-min": 0.05, "tau2-max": 0.2, "steps": 2})
+        )
+        code, out, _ = _run(capsys, ["sweep", "--config", str(cfg), "--mu", "1"])
+        assert code == 0
+        assert {row.split(",")[0] for row in out.strip().splitlines()[1:]} == {"1"}
 
 
 class TestImport:

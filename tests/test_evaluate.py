@@ -42,6 +42,14 @@ class TestIngest:
         assert np.array_equal(series.forecast, [1.0, 2.0, 0.5])
         assert np.array_equal(series.realization, [1.5, 1.5, 1.0])
 
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" puts a byte-order mark before the header
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _series_text([("a", 1, 2), ("b", 3, 4)]).encode())
+        series = ingest_csv(path)
+        assert series.periods == ("a", "b")
+        assert np.array_equal(series.forecast, [1.0, 3.0])
+
     def test_accepts_streams(self):
         series = ingest_csv(io.StringIO(_series_text([("a", 1, 2), ("b", 3, 4)])))
         assert len(series.periods) == 2

@@ -120,6 +120,24 @@ class TestReaction:
         with pytest.raises(DegenerateConjecture):
             reaction_from_conjecture(1.0, LinearRule(0.0, 0.0), 1.0, p)
 
+    def test_equals_the_written_out_reaction_bit_for_bit(self):
+        # a(f) = x * (y_target - (f - b)/c), the reaction's own formula
+        rng = np.random.default_rng(20231018)
+        for _ in range(2000):
+            x = rng.uniform(0.01, 3.0)
+            b, f, y_target = rng.normal(0.0, 10.0, 3)
+            c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+            p = ModelParams(mu=1.0, tau2=0.0, y_target=y_target)
+            want = x * (y_target - (f - b) / c)
+            assert reaction_from_conjecture(x, LinearRule(b, c), f, p) == want
+
+    def test_overflow_to_an_infinite_action_raises(self):
+        p = ModelParams(mu=1.0, tau2=0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            reaction_from_conjecture(0.5, LinearRule(0.0, 1e-308), 1e10, p)
+        with pytest.raises(ValueError, match="must be finite"):
+            dm_optimal_action(1e300, -1e300, p)
+
 
 class TestOptimalForecast:
     def test_reference_point(self):

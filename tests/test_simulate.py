@@ -163,6 +163,44 @@ class TestRunValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "scenario,settings,field",
+        [
+            ("equilibrium", dict(conjecture=LinearRule(1.0, 2.0)), "conjecture"),
+            ("taylor_rule", dict(conjecture=LinearRule(0.0, 1.0)), "conjecture"),
+            (
+                "constrained_menu",
+                dict(menu=(0.0, 1.0), conjecture=LinearRule(0.0, 1.0)),
+                "conjecture",
+            ),
+            (
+                "conditional",
+                dict(assumed_action=0.5, dm_applies_assumed=True, conjecture=LinearRule(0.0, 1.0)),
+                "conjecture",
+            ),
+            ("taylor_rule", dict(assumed_action=3.0), "assumed_action"),
+            ("constrained_menu", dict(menu=(0.0, 1.0), assumed_action=0.5), "assumed_action"),
+            (
+                "conjecture_rule",
+                dict(conjecture=LinearRule(0.0, 1.0), dm_applies_assumed=True),
+                "dm_applies_assumed",
+            ),
+            ("equilibrium", dict(dm_applies_assumed=True), "dm_applies_assumed"),
+            ("taylor_rule", dict(menu=(0.0, 1.0)), "menu"),
+            (
+                "conditional",
+                dict(assumed_action=0.5, conjecture=LinearRule(0.0, 1.0), menu=(0.0, 1.0)),
+                "menu",
+            ),
+            ("taylor_rule", dict(equilibrium_index=2), "equilibrium_index"),
+            ("constrained_menu", dict(menu=(0.0, 1.0), equilibrium_index=1), "equilibrium_index"),
+        ],
+    )
+    def test_setting_the_scenario_does_not_use_rejected(self, scenario, settings, field):
+        with pytest.raises(ValueError, match=f"'{scenario}' does not use {field},"):
+            SimulationRun(draw_count=10, seed=1, scenario=scenario, **settings)
+
+
 def _taylor_setup(n=4000, seed=5):
     params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=2.0)
     shock = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
