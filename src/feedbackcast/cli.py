@@ -1,7 +1,8 @@
 """Command-line front end: solve / sweep / simulate / evaluate.
 
 Exit codes: 0 success, 1 usage or validation problem, 2 model infeasibility
-(no equilibrium), 3 I/O failure. Numeric table output uses 10 significant
+(no equilibrium), 3 I/O failure, 141 output pipe closed by its reader (the
+status of a process killed by SIGPIPE). Numeric table output uses 10 significant
 digits with a locale-independent decimal point; JSON reports carry full
 float precision so they round-trip.
 
@@ -18,11 +19,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from itertools import chain
 
-import numpy as np
+from . import _numpy as np
 
 from .errors import FeedbackcastError, NoEquilibrium, DegenerateEquilibrium
 from .evaluate import ingest_csv, rolling_mz
@@ -78,7 +80,18 @@ def _write_table(handle, header: str, fmts, cols) -> None:
         handle.write(row * len(parts[0]) % values)
 
 
+# a negative number in decimal, exponent, inf or nan form; argparse's own
+# pattern misses the last three, so it read "--menu -1e-05 1" as two flags
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on usage errors by default, but 2 is reserved for
     # "no equilibrium" here; route usage problems to exit 1.
     def error(self, message):
@@ -115,6 +128,18 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     return 0
+
+
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """``np.linspace(lo, hi, steps).tolist()`` for ``steps >= 2``, computed
+    with numpy's own arithmetic, so the sweep runs without numpy."""
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        # numpy scales by i / div when the step underflows (or lo == hi)
+        return [lo + i / div * delta for i in range(div)] + [hi]
+    return [lo + i * step for i in range(div)] + [hi]
 
 
 def _conjecture_from(ns) -> LinearRule | None:
@@ -193,10 +218,9 @@ def cmd_sweep(ns) -> int:
         raise ValueError(f"clip must be finite and positive, got {ns.clip}")
 
     lines = ["mu,tau2,mz_slope,mz_intercept,exists"]
-    grid = np.linspace(ns.tau2_min, ns.tau2_max, ns.steps)
+    grid = _linspace(ns.tau2_min, ns.tau2_max, ns.steps)
     for mu in ns.mu:
         for tau2 in grid:
-            tau2 = float(tau2)
             try:
                 params = ModelParams(mu=mu, tau2=tau2, sigma2=1.0, y_target=ns.ytarget)
                 _, mz = equilibrium_bias_and_mz(params)
@@ -478,6 +502,19 @@ def _apply_config_file(argv: list[str], table: dict[str, _Parser]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at the null device, so output still buffered
+    for a reader that has gone does not fail again at interpreter exit (the
+    recipe in the notes on SIGPIPE of the ``signal`` module)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stdout has no descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, table = _build_parser()
@@ -490,7 +527,14 @@ def main(argv=None) -> int:
             if code is None:
                 return 0
             return code if isinstance(code, int) else 1
-        return ns.func(ns)
+        code = ns.func(ns)
+        # flushed here, so a reader that stops early is met below rather than
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
     except NoEquilibrium as exc:
         print(f"feedbackcast: no equilibrium: {exc}", file=sys.stderr)
         return 2

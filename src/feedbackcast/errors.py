@@ -6,6 +6,23 @@ arguments that no amount of modelling can repair (non-finite inputs, bad
 enum values, mismatched lengths).
 """
 
+__all__ = [
+    "FeedbackcastError",
+    "BracketFailure",
+    "DegenerateConjecture",
+    "DegenerateEquilibrium",
+    "InsufficientData",
+    "MissingMenu",
+    "MomentMatchInfeasible",
+    "NoEquilibrium",
+    "ParseError",
+    "SchemaError",
+    "SingularDenominator",
+    "SingularMZ",
+    "WindowTooLarge",
+    "ZeroVariance",
+]
+
 
 class FeedbackcastError(Exception):
     """Base class for errors raised by feedbackcast."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-import numpy as np
+from . import _numpy as np
 
 from . import kernels
 from .errors import (

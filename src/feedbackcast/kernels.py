@@ -7,8 +7,7 @@ arrays and interpreted by callers).
 
 from __future__ import annotations
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from . import _numpy as np
 
 
 def _as_f64(a) -> np.ndarray:
@@ -81,8 +80,9 @@ def rolling_ols(xs, ys, window):
     x_bar = rolling_mean(xs, window)
     y_bar = rolling_mean(ys, window)
     mean_error = rolling_mean(ys - xs, window)
-    x_win = sliding_window_view(xs, window)
-    y_win = sliding_window_view(ys, window)
+    sliding = np.lib.stride_tricks.sliding_window_view
+    x_win = sliding(xs, window)
+    y_win = sliding(ys, window)
     m = x_bar.shape[0]
     intercept = np.empty(m)
     slope = np.empty(m)
@@ -130,4 +130,5 @@ def rolling_mean(values, window):
     per-window copies."""
     values = _as_f64(values)
     window = int(window)
-    return np.sum(sliding_window_view(values, window), axis=1) / window
+    windows = np.lib.stride_tricks.sliding_window_view(values, window)
+    return np.sum(windows, axis=1) / window

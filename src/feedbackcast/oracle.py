@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _numpy as np
 
 from .errors import BracketFailure, DegenerateConjecture, SingularDenominator
 from .model import LinearRule, ModelParams, mse_decomposition, optimal_forecast

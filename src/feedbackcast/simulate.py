@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
+from . import _numpy as np
 
 from . import kernels
 from .errors import (

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import feedbackcast
-from feedbackcast.cli import ENV_SEED, _BLOCK_ROWS, _fmt, _write_table, main
+from feedbackcast.cli import (
+    ENV_SEED,
+    _BLOCK_ROWS,
+    _apply_config_file,
+    _build_parser,
+    _fmt,
+    _linspace,
+    _write_table,
+    main,
+)
 from feedbackcast.evaluate import ingest_csv, rolling_mz
 from feedbackcast.model import ModelParams, equilibrium_bias_and_mz
 from feedbackcast.simulate import (
@@ -253,6 +262,22 @@ class TestSweep:
     def test_validation_exit_1(self, capsys, argv):
         code, _, _ = _run(capsys, argv)
         assert code == 1
+
+    def test_grid_equals_numpy_linspace(self):
+        # repr tells -0.0 from 0.0 and compares nan equal to nan
+        rng = np.random.default_rng(6)
+        cases = [(0.0, 0.0, 2), (0.1, 0.1, 5), (-0.0, -0.0, 3), (0.0, 0.25, 2),
+                 (0.0, 0.3, 20_000), (0.05, 0.2, 7), (0.0, np.inf, 3),
+                 (0.0, 1e-323, 6), (1e-300, 1e-300 + 5e-324, 9)]
+        for _ in range(1000):
+            scaled = rng.random() * 10.0 ** rng.integers(-320, 300)
+            lo = float(rng.choice([0.0, rng.random(), scaled]))
+            width = rng.choice([0.0, rng.random(), 5e-324 * rng.integers(1, 10), scaled])
+            cases.append((lo, lo + float(width), int(rng.choice([2, 3, rng.integers(2, 500)]))))
+        with np.errstate(invalid="ignore"):
+            for lo, hi, steps in cases:
+                expected = list(map(repr, np.linspace(lo, hi, steps).tolist()))
+                assert list(map(repr, _linspace(lo, hi, steps))) == expected, (lo, hi, steps)
 
 
 def _simulate_argv(prefix, extra=()):
@@ -647,17 +672,200 @@ class TestConfigFile:
         assert {row.split(",")[0] for row in out.strip().splitlines()[1:]} == {"1"}
 
 
+def _with_config(argv, flag, items, source, tmp_path):
+    """``argv`` with ``flag`` given ``items``, on the command line or from a
+    config file in the given format."""
+    if source == "argv":
+        return [*argv, flag, *map(repr, items)]
+    key = flag.lstrip("-")
+    cfg = tmp_path / f"config.{source}"
+    if source == "json":
+        cfg.write_text(json.dumps({key: list(items)}))
+    else:
+        cfg.write_text(f"{key}={' '.join(map(repr, items))}\n")
+    return [*argv, "--config", str(cfg)]
+
+
+class TestNegativeNumbers:
+    """Multi-value flags take negative numbers in every form float() reads;
+    a value argparse passes on reaches the program's own validation."""
+
+    @pytest.mark.parametrize("source", ["argv", "json", "key-value"])
+    @pytest.mark.parametrize("value", [-1e-05, -0.0, 1e308, -np.inf])
+    @pytest.mark.parametrize(
+        "argv,flag,error",
+        [
+            (["simulate", "--scenario", "constrained_menu", "--mu", "0.5", "--tau2", "0.1",
+              "--n", "50"], "--menu", "menu[0] must be finite, got -inf"),
+            (["sweep", "--tau2-min", "0.1", "--tau2-max", "0.2", "--steps", "2"],
+             "--mu", "mu must be finite, got -inf"),
+        ],
+        ids=["menu", "sweep-mu"],
+    )
+    def test_value_reaches_validation(self, capsys, tmp_path, argv, flag, error, value, source):
+        if argv[0] == "simulate":
+            argv = [*argv, "--out-prefix", str(tmp_path / "run")]
+        argv = _with_config(argv, flag, (value, 1.0), source, tmp_path)
+        parser, table = _build_parser()
+        ns = parser.parse_args(_apply_config_file(argv, table))
+        assert list(map(repr, getattr(ns, flag[2:]))) == [repr(value), "1.0"]
+        with np.errstate(over="ignore"):
+            code, _, err = _run(capsys, argv)
+        assert "argument" not in err
+        if value == -np.inf:
+            assert code == 1
+            assert error in err
+        elif argv[0] == "simulate":
+            assert code == 0, err
+
+
+def _fresh_env():
+    src = str(Path(feedbackcast.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _fresh(code, cwd=None):
+    """stdout of ``python -c code`` in a fresh interpreter, where no module
+    another test imported is loaded yet."""
+    return subprocess.run(
+        [sys.executable, "-c", code], env=_fresh_env(), cwd=cwd,
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with status 141, the
+    status of a process killed by SIGPIPE, and no message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--mu", "0.98", "--tau2", "0.1"],
+            ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.2", "--steps", "3"],
+        ],
+        ids=["solve", "sweep"],
+    )
+    def test_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_fresh_process(self, buffered):
+        # block-buffered stdout (the default for a pipe) holds solve's report
+        # until a flush, so the closed pipe is met at the flush, not the print
+        env = {k: v for k, v in _fresh_env().items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "feedbackcast.cli", "solve", "--mu", "0.98", "--tau2", "0.1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == ""
+
+
+# the names the package exported when its __init__ listed them one by one
+EXPORTED = (
+    "__version__ FeedbackcastError BracketFailure DegenerateConjecture "
+    "DegenerateEquilibrium InsufficientData MissingMenu MomentMatchInfeasible "
+    "NoEquilibrium ParseError SchemaError SingularDenominator SingularMZ "
+    "WindowTooLarge ZeroVariance TAYLOR_RULE BiasLine ConditionalForecastSpec "
+    "EquilibriumSolution LinearRule ModelParams MseSplit MZLine bias_line "
+    "conditional_bias_and_mz conditional_forecast constrained_dm_choice "
+    "dm_optimal_action equilibrium_bias_and_mz mse_decomposition mz_line "
+    "optimal_forecast reaction_from_conjecture solve_equilibria unbiased_rule "
+    "BestResponseTrace BiasFit MzFit PolicyShockSpec SimulationOutput "
+    "SimulationRun SimulationSummary StateNoiseSpec best_response_iteration "
+    "ols_mz play_game sample_policy_shock OracleConfig exact_mse_minimizer "
+    "grid_action_minimizer mc_mse_minimizer ForecastSeries RollingResult "
+    "ingest_csv moving_average_bias rolling_mz"
+).split()
+
+
 class TestImport:
     def test_package_and_cli_import_without_scipy(self):
-        # a fresh interpreter, so modules other tests loaded do not count
-        src = str(Path(feedbackcast.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        code = (
+        out = _fresh(
             "import sys, feedbackcast, feedbackcast.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
         assert out.strip() == "[]"
+
+    def test_every_exported_name_imports(self):
+        assert len(EXPORTED) == 56
+        assert set(EXPORTED) <= set(feedbackcast.__all__)
+        assert len(set(feedbackcast.__all__)) == len(feedbackcast.__all__)
+        for name in feedbackcast.__all__:
+            assert hasattr(feedbackcast, name), name
+
+    def test_cli_import_loads_every_layer_but_not_numpy(self):
+        # the layers are loaded before main runs, so code that wraps their
+        # functions at that point (a profiler, a span recorder) sees them all
+        loaded = _fresh(
+            "import sys, feedbackcast.cli; "
+            "print(*(m for m in sys.modules if m.split('.')[0] in "
+            "('feedbackcast', 'numpy', 'scipy')))"
+        ).split()
+        layers = {"cli", "model", "simulate", "oracle", "evaluate", "kernels"}
+        assert {f"feedbackcast.{layer}" for layer in layers} <= set(loaded)
+        assert [m for m in loaded if not m.startswith("feedbackcast")] == []
+
+    def test_solve_and_sweep_run_without_numpy(self, tmp_path):
+        out = _fresh(
+            "import contextlib, io, sys\n"
+            "from feedbackcast.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['solve', '--mu', '0.98', '--tau2', '0.1']),\n"
+            "             main(['sweep', '--mu', '0.5', '0.98', '--tau2-min', '0',\n"
+            "                   '--tau2-max', '0.3', '--steps', '50', '--out', 'sweep.csv'])]\n"
+            "print(codes, 'numpy' in sys.modules)\n",
+            cwd=tmp_path,
+        )
+        assert out.strip() == "[0, 0] False"
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 101
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "equilibrium", "--family", "truncated_normal",
+             "--mu", "0.5", "--tau2", "0.1", "--n", "3000", "--seed", "4",
+             "--out-prefix", "run"],
+            ["evaluate", str(Path(__file__).parent / "data" / "two_regime_series.csv"),
+             "--window", "40"],
+        ],
+        ids=["simulate", "evaluate"],
+    )
+    def test_fresh_process_output_equals_in_process(self, capsys, tmp_path, monkeypatch, argv):
+        # only a fresh interpreter loads numpy at the first array operation
+        fresh, inside = tmp_path / "fresh", tmp_path / "inside"
+        fresh.mkdir()
+        inside.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-m", "feedbackcast.cli", *argv],
+            env=_fresh_env(), cwd=fresh, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        monkeypatch.chdir(inside)
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert result.stdout == out
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in inside.iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == (inside / name).read_bytes()
