@@ -22,10 +22,8 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from itertools import chain
 
-from . import _numpy as np
-
+from . import kernels
 from .errors import FeedbackcastError, NoEquilibrium, DegenerateEquilibrium
 from .evaluate import ingest_csv, rolling_mz
 from .model import (
@@ -62,22 +60,22 @@ _BLOCK_ROWS = 4096
 def _write_table(handle, header: str, fmts, cols) -> None:
     """Write ``header`` and one CSV row per index of the equal-length ``cols``.
 
-    ``fmts`` holds one %-conversion per column: ``"%.10g"`` for numbers (the
-    conversion ``_fmt`` applies, so the bytes match a per-value writer) and
-    ``"%s"`` for labels. Rows go out in blocks of ``_BLOCK_ROWS``, each
-    formatted by a single ``str %``, so memory stays bounded by one block.
+    ``fmts`` holds one %-conversion per column: ``"%s"`` for the label
+    columns, which come first, and ``"%.10g"`` for the numbers. The numbers
+    are formatted by ``kernels.format_rows``, byte for byte as ``_fmt`` gives
+    them, and each label is joined in as ``"%s"`` gives it. Rows go out in
+    blocks of ``_BLOCK_ROWS``, so memory stays bounded by one block.
     """
     handle.write(header + "\n")
-    row = ",".join(fmts) + "\n"
+    labels = fmts.count("%s")
+    row = "%s," * labels + "%s\n"
     n = len(cols[0])
     for start in range(0, n, _BLOCK_ROWS):
         parts = [col[start : start + _BLOCK_ROWS] for col in cols]
-        values = tuple(
-            chain.from_iterable(
-                zip(*(p.tolist() if isinstance(p, np.ndarray) else p for p in parts))
-            )
-        )
-        handle.write(row * len(parts[0]) % values)
+        text = kernels.format_rows(parts[labels:])
+        if labels:
+            text = "".join(map(row.__mod__, zip(*parts[:labels], text.splitlines())))
+        handle.write(text)
 
 
 # a negative number in decimal, exponent, inf or nan form; argparse's own
@@ -210,6 +208,9 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
+    for flag, value in (("--tau2-min", ns.tau2_min), ("--tau2-max", ns.tau2_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if ns.tau2_min < 0.0 or ns.tau2_min > ns.tau2_max:
         raise ValueError("need 0 <= tau2-min <= tau2-max")
     if ns.steps < 2:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,23 @@ class TestSweep:
         code, _, _ = _run(capsys, argv)
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "flag,value", [("tau2-max", "inf"), ("tau2-min", "nan"), ("tau2-min", "-inf")]
+    )
+    def test_non_finite_bound_exit_1_naming_the_flag(self, capsys, tmp_path, source, flag, value):
+        bounds = {"tau2-min": "0", "tau2-max": "0.1", flag: value}
+        argv = ["sweep", "--mu", "0.5", "--steps", "3"]
+        if source == "argv":
+            argv += [f"--{key}={text}" for key, text in bounds.items()]
+        else:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("".join(f"{key}={text}\n" for key, text in bounds.items()))
+            argv += ["--config", str(cfg)]
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert f"--{flag} must be finite, got {value}" in err
+
     def test_grid_equals_numpy_linspace(self):
         # repr tells -0.0 from 0.0 and compares nan equal to nan
         rng = np.random.default_rng(6)
@@ -365,6 +383,22 @@ class TestSimulate:
         assert f"does not use {field}" in err
         assert not (tmp_path / "unused_draws.csv").exists()
 
+    def test_menu_action_at_the_float_limit_runs_without_a_warning(self, capsys, tmp_path):
+        # the costly action squares to inf; the cheap one must still win
+        argv = [
+            "simulate", "--scenario", "constrained_menu", "--mu", "0.5",
+            "--tau2", "0.1", "--ytarget", "2", "--menu", "1e308", "1",
+            "--n", "2000", "--seed", "3", "--out-prefix", str(tmp_path / "huge"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, argv)
+        assert code == 0
+        assert err == ""
+        rows = (tmp_path / "huge_draws.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2000
+        assert {row.split(",")[3] for row in rows} == {"1"}
+
     def test_menu_scenario_via_flags(self, capsys, tmp_path):
         prefix = tmp_path / "menu"
         argv = [
@@ -396,6 +430,21 @@ class TestWriteTable:
         fmts = ("%s",) + ("%.10g",) * 5
         _write_blocks(tmp_path / "blocks.csv", ROLLING_HEADER, fmts, cols)
         _write_rows(tmp_path / "rows.csv", ROLLING_HEADER, cols)
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\n") == n + 1
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("kind", ["exponent_table", "zero_column"])
+    def test_table_matches_the_per_row_writer(self, tmp_path, kind, n):
+        if kind == "exponent_table":
+            rng = np.random.default_rng(n + 2)
+            cols = [rng.normal(0.0, 1e-8, n) for _ in range(6)]
+        else:
+            cols = _edge_columns(n, 6, seed=n + 3)
+            cols[3] = np.zeros(n)
+        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+        _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
         got = (tmp_path / "blocks.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
         assert got.count(b"\n") == n + 1

@@ -203,3 +203,73 @@ class TestRollingMean:
             [np.sum(values[w : w + window]) / window for w in range(301 - window)]
         )
         assert np.array_equal(got, want)
+
+
+def _format_cases():
+    """Seeded float64 values for format_rows, over 1e6 of them, with every
+    edge of %.10g's rounding and layout."""
+    rng = np.random.default_rng(20230829)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    exact = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+        5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        1234567890.5, 1234567891.5, -9876543210.5, 12345678905.0, 0.25, 2.5,
+        9999999999.5, 9999999999.4999990, 1e10, np.nextafter(1e10, 0.0),
+        0.99999999995, 9.9999999995e-5, 999999999.95,
+        1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 1.0),
+    ]
+    # 10-digit integers plus one half, and 11-digit ones ending in 5: the
+    # exact value sits on the tie between two 10-digit results
+    ties = rng.integers(10**9, 10**10, 20_000).astype(np.float64)
+    decades = [
+        10.0**e * rng.uniform(1.0, 10.0, 10_000) * rng.choice([-1.0, 1.0], 10_000)
+        for e in range(-15, 34)
+    ]
+    rounded = [
+        np.round(rng.normal(0.0, 10.0 ** rng.integers(0, 6), 20_000), d)
+        for d in range(13)
+    ]
+    return np.concatenate([
+        exact,
+        rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64),
+        rng.integers(0, 2**52, 20_000, dtype=np.uint64).view(np.float64),  # subnormal
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+        ties + 0.5, ties * 10.0 + 5.0,
+        *decades,
+        *rounded,
+        rng.normal(0.0, 1.0, 100_000),
+    ])
+
+
+class TestFormatRows:
+    def test_equals_the_exact_printer_byte_for_byte(self):
+        values = _format_cases()
+        assert values.size >= 1_000_000
+        cols = 4
+        values = np.concatenate([values, np.zeros(-values.size % cols)])
+        table = values.reshape(-1, cols)
+        row = ",".join(["%.10g"] * cols) + "\n"
+        for start in range(0, table.shape[0], 4096):
+            block = table[start : start + 4096]
+            got = kernels.format_rows(list(block.T))
+            want = (row * block.shape[0]) % tuple(block.ravel().tolist())
+            if got != want:
+                pairs = zip(got.splitlines(), want.splitlines(), block.tolist())
+                bad = next(p for p in pairs if p[0] != p[1])
+                pytest.fail(f"format_rows gave {bad[0]!r}, %.10g gives {bad[1]!r} for {bad[2]}")
+
+    def test_one_row_and_one_column(self):
+        assert kernels.format_rows([np.array([-0.0])]) == "-0\n"
+        assert kernels.format_rows([[1e-8], [2.5], [1e22]]) == "1e-08,2.5,1e+22\n"
+
+    def test_in_range_values_need_no_fallback(self):
+        # the exact printer is for near-ties and the edges, not the bulk
+        rng = np.random.default_rng(4)
+        values = np.concatenate([
+            *(rng.normal(0.0, 10.0**e, 10_000) for e in (-12, -6, -3, 0, 3, 9, 20)),
+            np.zeros(500),
+            -np.zeros(500),
+        ])
+        _, _, fast = kernels._g10_digits(kernels._g10_tables(), values)
+        assert fast.mean() > 0.9999
