@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 from dataclasses import asdict
 
 from . import kernels
-from .errors import FeedbackcastError, NoEquilibrium, DegenerateEquilibrium
+from .errors import (
+    DegenerateEquilibrium,
+    FeedbackcastError,
+    NoEquilibrium,
+    _require_finite,
+    _require_int,
+    _require_positive,
+)
 from .evaluate import ingest_csv, rolling_mz
 from .model import (
     TAYLOR_RULE,
@@ -140,12 +146,19 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * step for i in range(div)] + [hi]
 
 
+def _both_or_neither(first, second, flags: str) -> tuple | None:
+    if (first is None) != (second is None):
+        raise ValueError(f"{flags} must be given together")
+    return None if first is None else (first, second)
+
+
 def _conjecture_from(ns) -> LinearRule | None:
-    if (ns.b is None) != (ns.c is None):
-        raise ValueError("--b and --c must be given together")
-    if ns.c is None:
-        return None
-    return LinearRule(intercept=ns.b, slope=ns.c)
+    pair = _both_or_neither(ns.b, ns.c, "--b and --c")
+    return None if pair is None else LinearRule(*pair)
+
+
+def _params_from(ns) -> ModelParams:
+    return ModelParams(mu=ns.mu, tau2=ns.tau2, sigma2=ns.sigma2, y_target=ns.ytarget)
 
 
 def _conjecture_report(conjecture: LinearRule, params: ModelParams) -> dict:
@@ -161,7 +174,7 @@ def _conjecture_report(conjecture: LinearRule, params: ModelParams) -> dict:
 # subcommand handlers
 
 def cmd_solve(ns) -> int:
-    params = ModelParams(mu=ns.mu, tau2=ns.tau2, sigma2=ns.sigma2, y_target=ns.ytarget)
+    params = _params_from(ns)
     conjecture = _conjecture_from(ns)
 
     report: dict = {"params": asdict(params)}
@@ -208,15 +221,13 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    for flag, value in (("--tau2-min", ns.tau2_min), ("--tau2-max", ns.tau2_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
+    _require_finite("--tau2-min", ns.tau2_min)
+    _require_finite("--tau2-max", ns.tau2_max)
     if ns.tau2_min < 0.0 or ns.tau2_min > ns.tau2_max:
         raise ValueError("need 0 <= tau2-min <= tau2-max")
-    if ns.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {ns.steps}")
-    if ns.clip is not None and not (math.isfinite(ns.clip) and ns.clip > 0.0):
-        raise ValueError(f"clip must be finite and positive, got {ns.clip}")
+    _require_int("--steps", ns.steps, 2)
+    if ns.clip is not None:
+        _require_positive("--clip", ns.clip)
 
     lines = ["mu,tau2,mz_slope,mz_intercept,exists"]
     grid = _linspace(ns.tau2_min, ns.tau2_max, ns.steps)
@@ -248,17 +259,12 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    params = ModelParams(mu=ns.mu, tau2=ns.tau2, sigma2=ns.sigma2, y_target=ns.ytarget)
-    if (ns.support_lo is None) != (ns.support_hi is None):
-        raise ValueError("--support-lo and --support-hi must be given together")
-    support = None
-    if ns.support_lo is not None:
-        support = (ns.support_lo, ns.support_hi)
+    params = _params_from(ns)
     shock = PolicyShockSpec(
         family=ns.family,
         target_mean=ns.mu,
         target_var=ns.tau2,
-        support=support,
+        support=_both_or_neither(ns.support_lo, ns.support_hi, "--support-lo and --support-hi"),
     )
     state = StateNoiseSpec(
         theta_mean=ns.theta_mean, theta_var=ns.theta_var, noise_var=ns.sigma2
@@ -271,7 +277,7 @@ def cmd_simulate(ns) -> int:
         equilibrium_index=ns.equilibrium_index,
         assumed_action=ns.a0,
         dm_applies_assumed=ns.dm_applies_assumed,
-        menu=tuple(ns.menu) if ns.menu is not None else None,
+        menu=ns.menu,
     )
     out = play_game(run, shock, state, params)
 

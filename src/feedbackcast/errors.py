@@ -3,8 +3,11 @@
 Everything domain-specific derives from :class:`FeedbackcastError` so callers
 can catch one base class; plain ``ValueError`` is reserved for malformed
 arguments that no amount of modelling can repair (non-finite inputs, bad
-enum values, mismatched lengths).
+enum values, mismatched lengths). The private helpers at the end implement
+each per-argument rule once, for every layer.
 """
+
+import math
 
 __all__ = [
     "FeedbackcastError",
@@ -84,3 +87,74 @@ class ParseError(FeedbackcastError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+def _require_finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_positive(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        _require_finite(name, value)
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _require_nonnegative(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        _require_finite(name, value)
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return value
+
+
+def _require_int(name: str, value, minimum: int, error: type = ValueError) -> int:
+    """``value`` as an int: ValueError if it is not integral, ``error`` if below ``minimum``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if number < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
+def _require_pair(name: str, values) -> tuple[float, float]:
+    try:
+        first, second = values
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold exactly two values, got {values!r}") from None
+    return float(first), float(second)
+
+
+def _require_menu(menu) -> tuple[float, float]:
+    a0, a1 = _require_pair("menu", menu)
+    return _require_finite("menu[0]", a0), _require_finite("menu[1]", a1)
+
+
+def _require_t_cost(t_cost) -> float:
+    """The DM's quadratic action cost; above -1 the DM problem is convex."""
+    t = _require_finite("t_cost", t_cost)
+    if t <= -1.0:
+        raise ValueError(f"t_cost must exceed -1, got {t}")
+    return t
+
+
+def _check_conjecture(conjecture) -> tuple[float, float]:
+    b, c = conjecture.intercept, conjecture.slope
+    if c == 0.0:
+        raise DegenerateConjecture("conjectured slope is zero; the DM cannot invert the forecast")
+    return b, c
+
+
+def _require_window(window, minimum: int, error: type, length: int) -> int:
+    window = _require_int("window", window, minimum, error)
+    if window > length:
+        raise WindowTooLarge(f"window {window} exceeds series length {length}")
+    return window

@@ -22,8 +22,8 @@ from .errors import (
     InsufficientData,
     ParseError,
     SchemaError,
-    WindowTooLarge,
     ZeroVariance,
+    _require_window,
 )
 
 __all__ = [
@@ -58,10 +58,9 @@ class ForecastSeries:
             raise ValueError("forecast and realization must be 1-D")
         if not (len(periods) == forecast.shape[0] == realization.shape[0]):
             raise ValueError("periods, forecast, and realization lengths differ")
-        if forecast.size and not np.isfinite(forecast).all():
-            raise ValueError("non-finite forecast values")
-        if realization.size and not np.isfinite(realization).all():
-            raise ValueError("non-finite realization values")
+        for name, values in (("forecast", forecast), ("realization", realization)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite {name} values")
         for prev, cur in zip(periods, periods[1:]):
             if not prev < cur:
                 raise ValueError(
@@ -152,13 +151,7 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
     A window spanning the whole series reproduces the full-sample fit
     exactly (identical arithmetic, not merely close).
     """
-    window = int(window)
-    if window < 3:
-        raise InsufficientData(f"window must be at least 3, got {window}")
-    if window > len(series):
-        raise WindowTooLarge(
-            f"window {window} exceeds series length {len(series)}"
-        )
+    window = _require_window(window, 3, InsufficientData, len(series))
     intercept, slope, _, slope_se, r2, mean_err, flat = kernels.rolling_ols(
         series.forecast, series.realization, window
     )
@@ -187,13 +180,7 @@ def moving_average_bias(
     """Trailing mean of (realization - forecast) per window; window 1 returns
     the raw error series. Agrees exactly with rolling_mz's mean_error column
     for matching windows."""
-    window = int(window)
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if window > len(series):
-        raise WindowTooLarge(
-            f"window {window} exceeds series length {len(series)}"
-        )
+    window = _require_window(window, 1, ValueError, len(series))
     means = kernels.rolling_mean(series.errors, window)
     labels = series.periods[window - 1 :]
     return [(label, float(value)) for label, value in zip(labels, means)]

@@ -26,12 +26,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateConjecture,
     DegenerateEquilibrium,
     MissingMenu,
     NoEquilibrium,
     SingularDenominator,
     SingularMZ,
+    _check_conjecture,
+    _require_finite,
+    _require_menu,
+    _require_nonnegative,
+    _require_positive,
+    _require_t_cost,
 )
 
 __all__ = [
@@ -58,13 +63,6 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Primitives of the game.
@@ -84,14 +82,10 @@ class ModelParams:
     y_target: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu", "tau2", "sigma2", "y_target"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.tau2 < 0.0:
-            raise ValueError(f"tau2 must be nonnegative, got {self.tau2}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        object.__setattr__(self, "mu", _require_positive("mu", self.mu))
+        object.__setattr__(self, "tau2", _require_nonnegative("tau2", self.tau2))
+        object.__setattr__(self, "sigma2", _require_positive("sigma2", self.sigma2))
+        object.__setattr__(self, "y_target", _require_finite("y_target", self.y_target))
 
 
 @dataclass(frozen=True)
@@ -115,23 +109,13 @@ TAYLOR_RULE = LinearRule(0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class MZLine:
+class MZLine(LinearRule):
     """Population regression of outcome on forecast, E[y | f] = intercept + slope * f.
 
     A forecast is efficient in the Mincer-Zarnowitz sense when intercept = 0
     and slope = 1. Under feedback the optimal forecast is deliberately off
     that benchmark.
     """
-
-    intercept: float
-    slope: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "intercept", _require_finite("intercept", self.intercept))
-        object.__setattr__(self, "slope", _require_finite("slope", self.slope))
-
-    def __call__(self, forecast: float) -> float:
-        return self.intercept + self.slope * forecast
 
 
 @dataclass(frozen=True)
@@ -160,21 +144,10 @@ class MseSplit(NamedTuple):
         return self.variance_term + self.bias_sq_term
 
 
-def _check_conjecture(conjecture: LinearRule) -> tuple[float, float]:
-    b, c = conjecture.intercept, conjecture.slope
-    if c == 0.0:
-        raise DegenerateConjecture(
-            "conjectured slope is zero; the DM cannot invert the forecast"
-        )
-    return b, c
-
-
 def dm_optimal_action(x: float, expected_state: float, params: ModelParams) -> float:
     """Action of a DM with realized strength ``x`` who believes the state is
     ``expected_state``: close a fraction ``x`` of the gap to the target."""
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise ValueError(f"reaction strength x must be positive, got {x}")
+    x = _require_positive("x", x)
     expected_state = _require_finite("expected_state", expected_state)
     return _require_finite("action", x * (params.y_target - expected_state))
 
@@ -265,6 +238,7 @@ class EquilibriumSolution:
             index = self.selected_index
         if index not in (1, 2):
             raise ValueError(f"equilibrium index must be 1 or 2, got {index}")
+        index = int(index)
         if not self.exists:
             raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
         if self.degenerate[index - 1]:
@@ -451,20 +425,11 @@ class ConditionalForecastSpec:
             self, "assumed_action", _require_finite("assumed_action", self.assumed_action)
         )
         if self.menu is not None:
-            if len(self.menu) != 2:
-                raise ValueError("menu must hold exactly two actions")
-            menu = (
-                _require_finite("menu[0]", self.menu[0]),
-                _require_finite("menu[1]", self.menu[1]),
-            )
-            object.__setattr__(self, "menu", menu)
+            object.__setattr__(self, "menu", _require_menu(self.menu))
             if self.t_cost is None:
                 raise ValueError("t_cost is required when a menu is present")
         if self.t_cost is not None:
-            t = _require_finite("t_cost", self.t_cost)
-            if t <= -1.0:
-                raise ValueError(f"t_cost must exceed -1, got {t}")
-            object.__setattr__(self, "t_cost", t)
+            object.__setattr__(self, "t_cost", _require_t_cost(self.t_cost))
 
 
 def conditional_forecast(theta: float, spec: ConditionalForecastSpec) -> float:

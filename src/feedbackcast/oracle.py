@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 from . import _numpy as np
 
-from .errors import BracketFailure, DegenerateConjecture, SingularDenominator
+from .errors import (
+    BracketFailure,
+    SingularDenominator,
+    _check_conjecture,
+    _require_finite,
+    _require_int,
+    _require_positive,
+    _require_t_cost,
+)
 from .model import LinearRule, ModelParams, mse_decomposition, optimal_forecast
 from .simulate import PolicyShockSpec, _require_matching_shock, sample_policy_shock
 
@@ -43,23 +51,13 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.sample_count) != self.sample_count or self.sample_count < 10_000:
-            raise ValueError(
-                f"sample_count must be an integer >= 10000, got {self.sample_count}"
-            )
-        object.__setattr__(self, "sample_count", int(self.sample_count))
+        count = _require_int("sample_count", self.sample_count, 10_000)
+        object.__setattr__(self, "sample_count", count)
         if self.bracket_halfwidth is not None:
-            hw = float(self.bracket_halfwidth)
-            if not math.isfinite(hw) or hw <= 0.0:
-                raise ValueError(f"bracket_halfwidth must be positive, got {hw}")
+            hw = _require_positive("bracket_halfwidth", self.bracket_halfwidth)
             object.__setattr__(self, "bracket_halfwidth", hw)
-        tol = float(self.tolerance)
-        if not math.isfinite(tol) or tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {tol}")
-        object.__setattr__(self, "tolerance", tol)
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "tolerance", _require_positive("tolerance", self.tolerance))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
 
 def _mse_total(f: float, theta: float, conjecture: LinearRule, params: ModelParams) -> float:
@@ -136,7 +134,8 @@ def mc_mse_minimizer(
     form of the sample minimizer.
     """
     _require_matching_shock(dist, params)
-    b, c = conjecture.intercept, conjecture.slope
+    b, c = _check_conjecture(conjecture)
+    theta = _require_finite("theta", theta)
 
     ss = np.random.SeedSequence(cfg.seed)
     seed_x, seed_eps = ss.spawn(2)
@@ -192,13 +191,9 @@ def grid_action_minimizer(
     narrow the bracket and a final parabola through the best three points
     lands on the vertex.
     """
-    t = float(t_cost)
-    if not math.isfinite(t) or t <= -1.0:
-        raise ValueError(f"t_cost must exceed -1, got {t_cost}")
-    b, c = conjecture.intercept, conjecture.slope
-    if c == 0.0:
-        raise DegenerateConjecture("conjectured slope is zero")
-    theta_hat = (float(forecast_value) - b) / c
+    t = _require_t_cost(t_cost)
+    b, c = _check_conjecture(conjecture)
+    theta_hat = (_require_finite("forecast_value", forecast_value) - b) / c
     gap = params.y_target - theta_hat
 
     def objective(a):

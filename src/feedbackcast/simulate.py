@@ -24,10 +24,16 @@ from . import _numpy as np
 
 from . import kernels
 from .errors import (
-    DegenerateConjecture,
     InsufficientData,
     MomentMatchInfeasible,
     ZeroVariance,
+    _check_conjecture,
+    _require_finite,
+    _require_int,
+    _require_menu,
+    _require_nonnegative,
+    _require_pair,
+    _require_positive,
 )
 from .model import (
     TAYLOR_RULE,
@@ -35,7 +41,6 @@ from .model import (
     LinearRule,
     ModelParams,
     MZLine,
-    _require_finite,
     optimal_forecast,
     solve_equilibria,
 )
@@ -91,32 +96,23 @@ class PolicyShockSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        object.__setattr__(self, "target_mean", _require_finite("target_mean", self.target_mean))
-        tv = float(self.target_var)
-        if not math.isfinite(tv) or tv < 0.0:
-            raise ValueError(f"target_var must be finite and >= 0, got {self.target_var!r}")
+        object.__setattr__(self, "target_mean", _require_positive("target_mean", self.target_mean))
+        tv = _require_nonnegative("target_var", self.target_var)
         object.__setattr__(self, "target_var", tv)
-        if self.target_mean <= 0.0:
-            raise ValueError(f"target_mean must be positive, got {self.target_mean}")
+        if self.support is not None:
+            object.__setattr__(self, "support", _require_pair("support", self.support))
 
         if self.family == "degenerate":
             if tv != 0.0:
                 raise ValueError("degenerate family requires target_var = 0")
-            if self.support is not None:
-                lo, hi = self.support
-                if not (lo < self.target_mean < hi):
-                    raise ValueError("support does not contain the point mass")
-            return
-
-        if tv == 0.0:
+            if self.support is None:
+                return
+        elif tv == 0.0:
             raise ValueError(
                 f"{self.family} requires target_var > 0; use the degenerate family"
             )
         lo, hi = self.bounds
-        if not lo >= 0.0:
-            raise ValueError(f"support lower bound must be >= 0, got {lo}")
-        if not lo < hi:
-            raise ValueError(f"support must satisfy lo < hi, got ({lo}, {hi})")
+        _require_nonnegative("support lower bound", lo)
         if self.family == "beta_scaled" and not math.isfinite(hi):
             raise ValueError("beta_scaled requires a finite upper bound")
         if not (lo < self.target_mean < hi):
@@ -125,11 +121,12 @@ class PolicyShockSpec:
             )
         # Bhatia-Davis bound on any distribution over (lo, hi); for the
         # half-line it degenerates to the CV < 1 limit var < (mean - lo)^2.
+        # The point mass (tv = 0) needs no bound, even where the cap underflows.
         if math.isfinite(hi):
             cap = (self.target_mean - lo) * (hi - self.target_mean)
         else:
             cap = (self.target_mean - lo) ** 2
-        if tv >= cap:
+        if tv > 0.0 and tv >= cap:
             raise MomentMatchInfeasible(
                 f"target_var {tv} not attainable on ({lo}, {hi}) "
                 f"with mean {self.target_mean} (bound {cap:.6g})"
@@ -138,7 +135,7 @@ class PolicyShockSpec:
     @property
     def bounds(self) -> tuple[float, float]:
         if self.support is not None:
-            return float(self.support[0]), float(self.support[1])
+            return self.support
         if self.family == "truncated_normal":
             return 0.0, math.inf
         return 0.0, 1.0
@@ -224,14 +221,12 @@ def _truncnorm_parent(
 def _require_matching_shock(shock: PolicyShockSpec, params: ModelParams) -> None:
     """Reject a reaction distribution whose (mean, var) is not the
     (mu, tau2) the forecaster optimizes against."""
-    if not math.isclose(shock.target_mean, params.mu, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock mean {shock.target_mean} does not match params.mu {params.mu}"
-        )
-    if not math.isclose(shock.target_var, params.tau2, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"shock variance {shock.target_var} does not match params.tau2 {params.tau2}"
-        )
+    for what, got, field, want in (
+        ("mean", shock.target_mean, "mu", params.mu),
+        ("variance", shock.target_var, "tau2", params.tau2),
+    ):
+        if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
+            raise ValueError(f"shock {what} {got} does not match params.{field} {want}")
 
 
 def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
@@ -239,9 +234,7 @@ def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _require_int("n", n, 1)
     rng = np.random.default_rng(seed)
     if spec.family == "degenerate":
         return np.full(n, spec.target_mean)
@@ -274,14 +267,8 @@ class StateNoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_mean", _require_finite("theta_mean", self.theta_mean))
-        tv = _require_finite("theta_var", self.theta_var)
-        if tv < 0.0:
-            raise ValueError(f"theta_var must be >= 0, got {tv}")
-        object.__setattr__(self, "theta_var", tv)
-        nv = _require_finite("noise_var", self.noise_var)
-        if nv <= 0.0:
-            raise ValueError(f"noise_var must be > 0, got {nv}")
-        object.__setattr__(self, "noise_var", nv)
+        object.__setattr__(self, "theta_var", _require_nonnegative("theta_var", self.theta_var))
+        object.__setattr__(self, "noise_var", _require_positive("noise_var", self.noise_var))
 
 
 @dataclass(frozen=True)
@@ -320,14 +307,9 @@ class SimulationRun:
     menu: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if int(self.draw_count) != self.draw_count or self.draw_count < 1:
-            raise InsufficientData(
-                f"draw_count must be a positive integer, got {self.draw_count}"
-            )
-        object.__setattr__(self, "draw_count", int(self.draw_count))
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        count = _require_int("draw_count", self.draw_count, 1, InsufficientData)
+        object.__setattr__(self, "draw_count", count)
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
 
@@ -335,42 +317,33 @@ class SimulationRun:
         needs_conjecture = self.scenario == "conjecture_rule" or (
             conditional and not self.dm_applies_assumed
         )
-        unused = {
-            "conjecture": self.conjecture is not None and not needs_conjecture,
-            "assumed_action": self.assumed_action is not None and not conditional,
-            "dm_applies_assumed": self.dm_applies_assumed and not conditional,
-            "menu": self.menu is not None and self.scenario != "constrained_menu",
-            "equilibrium_index": self.equilibrium_index is not None
-            and self.scenario != "equilibrium",
+        fields = {
+            "conjecture": (self.conjecture is not None, needs_conjecture),
+            "assumed_action": (self.assumed_action is not None, conditional),
+            "dm_applies_assumed": (self.dm_applies_assumed, conditional),
+            "menu": (self.menu is not None, self.scenario == "constrained_menu"),
+            "equilibrium_index": (
+                self.equilibrium_index is not None, self.scenario == "equilibrium"
+            ),
         }
-        for name, is_unused in unused.items():
-            if is_unused:
+        for name, (given, used) in fields.items():
+            if given and not used:
                 raise ValueError(
                     f"scenario {self.scenario!r} does not use {name}, but it was set"
                 )
+        for name in ("conjecture", "assumed_action", "menu"):
+            given, used = fields[name]
+            if used and not given:
+                raise ValueError(f"scenario {self.scenario!r} requires {name}")
         if needs_conjecture:
-            if self.conjecture is None:
-                raise ValueError(f"scenario {self.scenario!r} requires a conjecture")
-            if self.conjecture.slope == 0.0:
-                raise DegenerateConjecture("conjectured slope is zero")
+            _check_conjecture(self.conjecture)
         if self.equilibrium_index not in (None, 1, 2):
-            raise ValueError(
-                f"equilibrium_index must be 1 or 2, got {self.equilibrium_index}"
-            )
-        if conditional and self.assumed_action is None:
-            raise ValueError("scenario 'conditional' requires assumed_action")
-        if self.assumed_action is not None:
-            object.__setattr__(
-                self, "assumed_action", _require_finite("assumed_action", self.assumed_action)
-            )
-        if self.scenario == "constrained_menu":
-            if self.menu is None:
-                raise ValueError("scenario 'constrained_menu' requires a menu")
-            menu = (
-                _require_finite("menu[0]", self.menu[0]),
-                _require_finite("menu[1]", self.menu[1]),
-            )
-            object.__setattr__(self, "menu", menu)
+            raise ValueError(f"equilibrium_index must be 1 or 2, got {self.equilibrium_index}")
+        if conditional:
+            action = _require_finite("assumed_action", self.assumed_action)
+            object.__setattr__(self, "assumed_action", action)
+        if self.menu is not None:
+            object.__setattr__(self, "menu", _require_menu(self.menu))
 
 
 class MzFit(NamedTuple):
@@ -551,8 +524,7 @@ def best_response_iteration(
     residual below ``tol``), at a zero-slope iterate (the next application
     would be undefined), or after ``max_iter`` steps.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _require_int("max_iter", max_iter, 1)
     rules: list[LinearRule] = []
     residuals: list[float] = []
     status = "max_iter"
