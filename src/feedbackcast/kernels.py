@@ -12,6 +12,7 @@ import functools
 from typing import NamedTuple
 
 from . import _numpy as np
+from .model import _prefers_first
 
 
 def _as_f64(a) -> np.ndarray:
@@ -32,22 +33,20 @@ def react_play(theta, x, eps, d, e, b, c, y_target):
 
 def menu_play(theta, x, eps, a0, a1, y_target):
     """Play the two-action menu game; each DM picks the menu action that is
-    cheaper under its own cost t = 1/x - 1, and the recorded forecast is the
-    conditional forecast matching the chosen action. Ties go to ``a0``."""
+    cheaper under its own cost t = 1/x - 1 (``model._prefers_first``), and
+    the recorded forecast is the conditional forecast matching the chosen
+    action. Ties go to ``a0``. Costs past the float limit are ranked without
+    a warning; a ranking that overflow leaves undecided (inf - inf) is
+    flagged as numpy's invalid value."""
     theta, x, eps = _as_f64(theta), _as_f64(x), _as_f64(eps)
-    a0, a1, y_target = float(a0), float(a1), float(y_target)
+    # numpy scalars, so an overflowing cost gap a1**2 - a0**2 is flagged too
+    a0, a1, y_target = np.float64(a0), np.float64(a1), float(y_target)
     f0 = theta + a0
     f1 = theta + a1
-    # a draw at the subnormal floor gives t = inf, which still orders the
-    # actions when their costs differ; on a symmetric menu inf * 0 would be
-    # nan and lose the tie, so the cost gap is taken as exactly 0 there.
-    # Likewise an action near the float limit squares to inf, which still
-    # orders the two costs (inf <= -inf is false: the cheap action wins).
+    # 1/x overflows for a draw at the subnormal floor, and an action near the
+    # float limit squares to inf; _prefers_first ranks the costs either way
     with np.errstate(over="ignore"):
-        t = 1.0 / x - 1.0
-        lhs = (f0 - y_target) ** 2 - (f1 - y_target) ** 2
-    gap = a1 * a1 - a0 * a0
-    take0 = lhs <= (t * gap if gap != 0.0 else 0.0)
+        take0 = _prefers_first(f0, f1, a0, a1, 1.0 / x - 1.0, y_target)
     action = np.where(take0, a0, a1)
     forecast = np.where(take0, f0, f1)
     outcome = forecast + eps

@@ -217,10 +217,12 @@ class EquilibriumSolution:
     indexed 1 (plus branch) and 2 (minus branch). ``slopes`` and ``k_values``
     are populated whenever ``exists``; a root is flagged ``degenerate`` (with
     a None entry in ``rules``) when its rule cannot be constructed: slope
-    exactly zero (a flat rule reveals nothing for the DM to invert), or the
+    zero (a flat rule reveals nothing for the DM to invert), or the
     ``mu + c = 0`` root at ``tau2 = 0``, where the best-response map is
-    singular. At ``tau2 = 1/4`` the two roots coincide and ``repeated`` is
-    set.
+    singular. Root 1 also counts as flat when ``(1 - mu)*s - tau2``, its slope
+    times s in exact arithmetic, rounds to zero, so every caller of
+    ``equilibrium_bias_and_mz`` agrees with this flag. At ``tau2 = 1/4`` the
+    two roots coincide and ``repeated`` is set.
     """
 
     exists: bool
@@ -254,6 +256,25 @@ class EquilibriumSolution:
         return self.rule(None)
 
 
+def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
+    """None when no self-confirming rule exists (tau2 > 1/4); otherwise
+    (r, wedge, degenerate) for the first root, with r = sqrt(1 - 4*tau2),
+    s = (1 + r)/2 and wedge = (1 - mu)*s.
+
+    The root's slope 1/2 - mu + r/2 and wedge - tau2 are c1 and c1*s in
+    exact arithmetic, but in floats either can round to zero without the
+    other; the root is degenerate when either does. ``solve_equilibria`` and
+    ``equilibrium_bias_and_mz`` both take their verdicts from here, so solve,
+    sweep and simulate agree on them. Plain arithmetic: sweep calls it once
+    per grid point.
+    """
+    if tau2 > 0.25:
+        return None
+    r = math.sqrt(1.0 - 4.0 * tau2)
+    wedge = (1.0 - mu) * (0.5 + 0.5 * r)
+    return r, wedge, 0.5 - mu + 0.5 * r == 0.0 or wedge == tau2
+
+
 def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
     """Solve for the self-confirming rules of the game.
 
@@ -266,16 +287,17 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
     1 - k is computed as c * s / (tau2 + s**2), which is algebraically equal
     but does not lose precision to cancellation when k is close to 1.
     """
-    if params.tau2 > 0.25:
+    first = _first_root(params.mu, params.tau2)
+    if first is None:
         return EquilibriumSolution(exists=False)
 
-    root = math.sqrt(1.0 - 4.0 * params.tau2)
+    root, _, first_flat = first
     slopes = (0.5 - params.mu + 0.5 * root, 0.5 - params.mu - 0.5 * root)
 
     rules: list[LinearRule | None] = []
     ks: list[float] = []
     degenerate: list[bool] = []
-    for c in slopes:
+    for c, flat in zip(slopes, (first_flat, slopes[1] == 0.0)):
         s = params.mu + c
         denom = params.tau2 + s * s
         if denom == 0.0:
@@ -288,7 +310,7 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
             continue
         k = (params.tau2 + params.mu * s) / denom
         ks.append(k)
-        if c == 0.0:
+        if flat:
             degenerate.append(True)
             rules.append(None)
             continue
@@ -357,14 +379,11 @@ def equilibrium_bias_and_mz(params: ModelParams) -> tuple[BiasLine, MZLine]:
     to it. Lines for the second root follow from ``bias_line`` / ``mz_line``
     applied to ``solve_equilibria(params).rule(2)``.
     """
-    if params.tau2 > 0.25:
+    first = _first_root(params.mu, params.tau2)
+    if first is None:
         raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
-    r = math.sqrt(1.0 - 4.0 * params.tau2)
-    s = 0.5 + 0.5 * r
-    wedge = (1.0 - params.mu) * s
-    denom = wedge - params.tau2
-    if denom == 0.0:
-        # wedge - tau2 equals c1 * s, so this is the zero-slope root.
+    r, wedge, degenerate = first
+    if degenerate:
         raise DegenerateEquilibrium(
             "first equilibrium root has slope zero; its MZ line is undefined"
         )
@@ -372,7 +391,7 @@ def equilibrium_bias_and_mz(params: ModelParams) -> tuple[BiasLine, MZLine]:
     bias = BiasLine(coef_theta=g + 0.0, coef_const=-g * params.y_target + 0.0)
     mz = MZLine(
         intercept=params.tau2 / (params.tau2 - wedge) * params.y_target + 0.0,
-        slope=wedge / denom + 0.0,
+        slope=wedge / (wedge - params.tau2) + 0.0,
     )
     return bias, mz
 
@@ -461,6 +480,27 @@ def conditional_bias_and_mz(
     return bias, mz
 
 
+def _prefers_first(f0, f1, a0, a1, t, y_target):
+    """Whether a DM with action cost ``t`` takes menu action ``a0``, announced
+    with conditional forecast ``f0``, over ``a1`` with ``f1``: true when
+    (f0 - y_target)**2 + t * a0**2 <= (f1 - y_target)**2 + t * a1**2, so ties
+    go to ``a0``. ``f0``, ``f1`` and ``t`` may be numpy arrays, one entry per
+    DM.
+
+    The arithmetic is plain products, never float ``**``. An action near the
+    float limit squares to inf, which still orders the two costs
+    (inf <= -inf is false: the cheap action wins). On a symmetric menu the
+    cost gap is exactly 0, so t = inf (a draw at the subnormal floor) keeps
+    the tie instead of making inf * 0 = nan. Where overflow leaves a side
+    nan (inf - inf), the comparison is false both ways: this call and the one
+    with the actions swapped both return false.
+    """
+    d0 = f0 - y_target
+    d1 = f1 - y_target
+    gap = a1 * a1 - a0 * a0
+    return d0 * d0 - d1 * d1 <= (t * gap if gap != 0.0 else 0.0)
+
+
 def constrained_dm_choice(
     f0: float,
     f1: float,
@@ -471,7 +511,8 @@ def constrained_dm_choice(
     conditional forecast announced for each.
 
     The DM compares (f_i - y_target)**2 + t * a_i**2 and takes action 0 on
-    ties.
+    ties. Raises ValueError when both costs overflow the float range, so
+    neither can be ranked.
     """
     if spec.menu is None:
         raise MissingMenu("constrained choice requires a two-action menu")
@@ -480,6 +521,11 @@ def constrained_dm_choice(
     a0, a1 = spec.menu
     t = spec.t_cost
     y = params.y_target
-    lhs = (f0 - y) ** 2 - (f1 - y) ** 2
-    rhs = t * (a1 * a1 - a0 * a0)
-    return 0 if lhs <= rhs else 1
+    if _prefers_first(f0, f1, a0, a1, t, y):
+        return 0
+    if _prefers_first(f1, f0, a1, a0, t, y):
+        return 1
+    raise ValueError(
+        f"the DM's costs overflow at f0 = {f0!r}, f1 = {f1!r} with menu {spec.menu}; "
+        "neither action can be ranked"
+    )

@@ -83,9 +83,12 @@ class PolicyShockSpec:
     (point mass, requires zero variance). Draws are strictly positive in all
     families, as the game requires.
 
-    Feasibility that can be checked in closed form is checked here:
-    beta_scaled needs target_var < (mean-lo)(hi-mean) and truncated_normal
-    the same bound (coefficient-of-variation limit when hi is infinite).
+    Feasibility is checked here, so an infeasible pair never reaches
+    sampling: beta_scaled asks the Beta shape solver that sampling uses
+    (after rescaling the support to (0, 1), the variance must stay below
+    m(1 - m)); truncated_normal needs target_var < (mean-lo)(hi-mean), or
+    target_var < (mean-lo)**2 (the coefficient-of-variation limit) when hi
+    is infinite.
     """
 
     family: str
@@ -119,18 +122,18 @@ class PolicyShockSpec:
             raise ValueError(
                 f"target_mean {self.target_mean} outside support ({lo}, {hi})"
             )
-        # Bhatia-Davis bound on any distribution over (lo, hi); for the
-        # half-line it degenerates to the CV < 1 limit var < (mean - lo)^2.
-        # The point mass (tv = 0) needs no bound, even where the cap underflows.
-        if math.isfinite(hi):
-            cap = (self.target_mean - lo) * (hi - self.target_mean)
-        else:
-            cap = (self.target_mean - lo) ** 2
-        if tv > 0.0 and tv >= cap:
-            raise MomentMatchInfeasible(
-                f"target_var {tv} not attainable on ({lo}, {hi}) "
-                f"with mean {self.target_mean} (bound {cap:.6g})"
-            )
+        if self.family == "beta_scaled":
+            _beta_shape(self.target_mean, tv, lo, hi)
+        elif self.family == "truncated_normal":
+            # Bhatia-Davis bound on any distribution over (lo, hi); for the
+            # half-line it degenerates to the CV < 1 limit.
+            above = self.target_mean - lo
+            cap = above * (hi - self.target_mean) if math.isfinite(hi) else above * above
+            if tv >= cap:
+                raise MomentMatchInfeasible(
+                    f"target_var {tv} not attainable on ({lo}, {hi}) "
+                    f"with mean {self.target_mean} (bound {cap:.6g})"
+                )
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -142,15 +145,25 @@ class PolicyShockSpec:
 
 
 def _beta_shape(mean: float, var: float, lo: float, hi: float) -> tuple[float, float]:
+    """Shapes (a, b) of the Beta on (lo, hi) with the given mean and variance.
+
+    The one feasibility verdict for beta_scaled, used by ``PolicyShockSpec``
+    and by sampling alike: after rescaling to (0, 1) the variance v must lie
+    in (0, m(1 - m)), and both shapes must come out positive and finite.
+    """
     width = hi - lo
     m = (mean - lo) / width
     v = var / (width * width)
-    if not (0.0 < m < 1.0) or v >= m * (1.0 - m):
+    spread = m * (1.0 - m)
+    a = b = math.nan
+    if 0.0 < v < spread:
+        nu = spread / v - 1.0
+        a, b = m * nu, (1.0 - m) * nu
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise MomentMatchInfeasible(
             f"no Beta on ({lo}, {hi}) has mean {mean} and variance {var}"
         )
-    nu = m * (1.0 - m) / v - 1.0
-    return m * nu, (1.0 - m) * nu
+    return a, b
 
 
 def _phi(z: float) -> float:
@@ -461,29 +474,37 @@ def play_game(
     x = sample_policy_shock(shock, n, seed_x)
     eps = np.random.default_rng(seed_eps).normal(0.0, math.sqrt(sn.noise_var), n)
 
-    if run.scenario == "constrained_menu":
-        a0, a1 = run.menu
-        forecast, action, outcome, error = kernels.menu_play(
-            theta, x, eps, a0, a1, params.y_target
-        )
-    elif run.dm_applies_assumed:  # only ever set under "conditional"
-        a0 = run.assumed_action
-        forecast = theta + a0
-        action = np.full(n, float(a0))
-        outcome = forecast + eps
-        error = outcome - forecast
-    else:
-        # the published rule and the conjecture the DM reads it through
-        if run.scenario == "equilibrium":
-            rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
-        elif run.scenario == "conditional":
-            rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
-        else:
-            cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
-            rule = optimal_forecast(cj, params)
-        forecast, action, outcome, error = kernels.react_play(
-            theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope, params.y_target
-        )
+    # numpy raises where the play or the fit leaves the float range, rather
+    # than warning and handing on inf or nan
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if run.scenario == "constrained_menu":
+                a0, a1 = run.menu
+                forecast, action, outcome, error = kernels.menu_play(
+                    theta, x, eps, a0, a1, params.y_target
+                )
+            elif run.dm_applies_assumed:  # only ever set under "conditional"
+                a0 = run.assumed_action
+                forecast = theta + a0
+                action = np.full(n, float(a0))
+                outcome = forecast + eps
+                error = outcome - forecast
+            else:
+                # the published rule and the conjecture the DM reads it through
+                if run.scenario == "equilibrium":
+                    rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
+                elif run.scenario == "conditional":
+                    rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
+                else:
+                    cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
+                    rule = optimal_forecast(cj, params)
+                forecast, action, outcome, error = kernels.react_play(
+                    theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope,
+                    params.y_target,
+                )
+            summary = _summarize(theta, forecast, outcome, error, run)
+    except FloatingPointError as exc:
+        raise ValueError(f"the game's values overflowed the float range ({exc})") from None
 
     return SimulationOutput(
         theta=theta,
@@ -492,7 +513,7 @@ def play_game(
         action=action,
         outcome=outcome,
         error=error,
-        summary=_summarize(theta, forecast, outcome, error, run),
+        summary=summary,
         run=run,
     )
 
@@ -521,10 +542,12 @@ def best_response_iteration(
 
     Diagnostic only: convergence toward the first self-confirming rule is an
     empirical observation, not a guarantee. Stops at a fixed point (sup-norm
-    residual below ``tol``), at a zero-slope iterate (the next application
-    would be undefined), or after ``max_iter`` steps.
+    residual below ``tol``, which must be positive and finite), at a
+    zero-slope iterate (the next application would be undefined), or after
+    ``max_iter`` steps.
     """
     max_iter = _require_int("max_iter", max_iter, 1)
+    tol = _require_positive("tol", tol)
     rules: list[LinearRule] = []
     residuals: list[float] = []
     status = "max_iter"

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from feedbackcast.cli import (
     main,
 )
 from feedbackcast.evaluate import ingest_csv, rolling_mz
-from feedbackcast.model import ModelParams, equilibrium_bias_and_mz
+from feedbackcast.model import ModelParams, equilibrium_bias_and_mz, solve_equilibria
 from feedbackcast.simulate import (
     PolicyShockSpec,
     SimulationRun,
@@ -84,6 +85,14 @@ def _run_json(capsys, argv):
 
 
 class TestSolve:
+    def test_slope_zero_up_to_rounding_is_degenerate(self, capsys):
+        # the slope is 2.8e-17 here, but (1 - mu)*s - tau2 rounds to zero
+        report = _run_json(
+            capsys, ["solve", "--mu", "0.6989064904206899", "--tau2", "0.210436208068524"]
+        )
+        assert report["equilibria"]["roots"][0]["degenerate"] is True
+        assert "equilibrium" not in report
+
     def test_report_values(self, capsys):
         report = _run_json(
             capsys, ["solve", "--mu", "0.98", "--tau2", "0.1", "--ytarget", "2"]
@@ -208,6 +217,31 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows == ["0.5,0.26,,,false", "0.5,0.3,,,false"]
+
+    def test_cells_are_empty_exactly_where_solve_calls_the_root_degenerate(self, capsys):
+        # mu within four ulps of the zero-slope curve mu = (1 + r) / 2
+        rng = np.random.default_rng(23)
+        groups = [(0.10272216796875, [0.883767940337973])]
+        for tau2 in rng.uniform(0.0, 0.25, 20).tolist():
+            mus = [(1.0 + math.sqrt(1.0 - 4.0 * tau2)) / 2.0]
+            for _ in range(4):
+                mus = [math.nextafter(mus[0], 0.0), *mus, math.nextafter(mus[-1], math.inf)]
+            groups.append((tau2, mus))
+        flagged = 0
+        for tau2, mus in groups:
+            code, out, err = _run(
+                capsys,
+                ["sweep", "--mu", *map(repr, mus), "--tau2-min", repr(tau2),
+                 "--tau2-max", repr(tau2), "--steps", "2"],
+            )
+            assert code == 0, err
+            for mu, row in zip(mus, out.splitlines()[1::2]):
+                degenerate = solve_equilibria(ModelParams(mu=mu, tau2=tau2)).degenerate[0]
+                assert row.endswith(",,,true") == degenerate, (mu, tau2, row)
+                flagged += degenerate
+                code, _, err = _run(capsys, ["solve", "--mu", repr(mu), "--tau2", repr(tau2)])
+                assert code == 0, err
+        assert flagged > 1
 
     def test_clip_clamps_both_line_coefficients(self, capsys):
         taus = (0.0185, 0.019, 0.0195)
@@ -398,6 +432,21 @@ class TestSimulate:
         rows = (tmp_path / "huge_draws.csv").read_text().splitlines()[1:]
         assert len(rows) == 2000
         assert {row.split(",")[3] for row in rows} == {"1"}
+
+    def test_menu_whose_costs_overflow_exits_1_without_a_warning(self, capsys, tmp_path):
+        # both actions square to inf, so no DM's costs can be ranked
+        argv = [
+            "simulate", "--scenario", "constrained_menu", "--menu", "1e308", "-1e308",
+            "--mu", "0.5", "--tau2", "0.1", "--ytarget", "2", "--n", "100",
+            "--out-prefix", str(tmp_path / "overflow"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("feedbackcast: error: the game's values overflowed")
+        assert not (tmp_path / "overflow_draws.csv").exists()
 
     def test_menu_scenario_via_flags(self, capsys, tmp_path):
         prefix = tmp_path / "menu"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from feedbackcast import kernels
 from feedbackcast.errors import (
     DegenerateConjecture,
     DegenerateEquilibrium,
@@ -34,6 +35,23 @@ from feedbackcast.model import (
 )
 
 P_BASE = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=2.0)
+
+
+def _near_zero_slope(count, seed):
+    """Seeded (mu, tau2) on and up to four ulps of mu either side of the
+    curve mu = (1 + sqrt(1 - 4*tau2)) / 2, where the first root's slope is
+    zero, plus two points where the slope and (1 - mu)*s - tau2, equal in
+    exact arithmetic, round differently."""
+    rng = np.random.default_rng(seed)
+    points = [(0.6989064904206899, 0.210436208068524), (0.883767940337973, 0.10272216796875)]
+    for tau2 in rng.uniform(0.0, 0.25, count).tolist():
+        above = below = (1.0 + math.sqrt(1.0 - 4.0 * tau2)) / 2.0
+        points.append((above, tau2))
+        for _ in range(4):
+            above = math.nextafter(above, math.inf)
+            below = math.nextafter(below, 0.0)
+            points += [(above, tau2), (below, tau2)]
+    return points
 
 
 class TestParams:
@@ -315,6 +333,21 @@ class TestEquilibriumLines:
         sol = solve_equilibria(ModelParams(mu=0.75, tau2=0.1875))
         assert sol.degenerate == (True, False)
 
+    def test_degenerate_exactly_where_solve_says_so(self):
+        flagged = 0
+        for mu, tau2 in _near_zero_slope(300, 11):
+            p = ModelParams(mu=mu, tau2=tau2, y_target=2.0)
+            degenerate = solve_equilibria(p).degenerate[0]
+            try:
+                _, mz = equilibrium_bias_and_mz(p)
+            except DegenerateEquilibrium:
+                assert degenerate, (mu, tau2)
+                flagged += 1
+            else:
+                assert not degenerate, (mu, tau2)
+                assert math.isfinite(mz.slope) and math.isfinite(mz.intercept)
+        assert flagged > 2
+
 
 class TestMseDecomposition:
     def test_only_noise_without_uncertainty(self):
@@ -431,6 +464,35 @@ class TestConstrainedChoice:
         p = ModelParams(mu=0.5, tau2=0.1)
         with pytest.raises(MissingMenu):
             constrained_dm_choice(1.0, 2.0, ConditionalForecastSpec(assumed_action=0.0), p)
+
+    def test_a_cost_past_the_float_limit_still_ranks(self):
+        p = ModelParams(mu=0.5, tau2=0.1)
+        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(1e200, 0.0), t_cost=0.5)
+        assert constrained_dm_choice(1e200, 0.0, spec, p) == 1
+        assert constrained_dm_choice(0.0, 1e200, spec, p) == 0
+
+    def test_costs_overflowing_on_both_sides_are_rejected(self):
+        p = ModelParams(mu=0.5, tau2=0.1)
+        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0), t_cost=0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            constrained_dm_choice(1e200, -1e200, spec, p)
+
+    @pytest.mark.parametrize(
+        "menu", [(0.0, 0.5), (-0.5, 0.5), (1.0, -2.0), (1e200, 0.0), (1e308, 1.0)]
+    )
+    def test_agrees_with_the_menu_kernel(self, menu):
+        # each draw's DM has cost t = 1/x - 1, as in the simulated game
+        rng = np.random.default_rng(31)
+        n = 300
+        p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
+        theta = rng.normal(2.0, 1.0, n)
+        theta[:20] = 2.0  # ties on the symmetric menu
+        x = rng.uniform(0.01, 3.0, n)
+        _, action, _, _ = kernels.menu_play(theta, x, np.zeros(n), *menu, p.y_target)
+        for th, xi, taken in zip(theta.tolist(), x.tolist(), action.tolist()):
+            spec = ConditionalForecastSpec(0.0, menu=menu, t_cost=1.0 / xi - 1.0)
+            choice = constrained_dm_choice(th + menu[0], th + menu[1], spec, p)
+            assert taken == menu[choice]
 
 
 def test_mz_bias_consistency_identity():

@@ -226,6 +226,23 @@ class TestGridActionMinimizer:
             got = grid_action_minimizer(f, t, conjecture, params)
             assert got == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("f", [1e150, 1e160, 1e200, 1e300, -8e307])
+    def test_large_forecasts_match_the_closed_form(self, f):
+        # the implied state is past 1e150, where the squared action overflows
+        for t in (-0.5, 0.0, 0.5, 4.0):
+            want = dm_optimal_action(1.0 / (1.0 + t), f, self.P)
+            got = grid_action_minimizer(f, t, TAYLOR_RULE, self.P)
+            assert abs(got - want) <= 1e-7 * (abs(self.P.y_target - f) + 1.0)
+
+    @pytest.mark.parametrize(
+        "f,t,conjecture",
+        [(1e300, 0.5, LinearRule(0.0, 1e-10)), (1.7e308, -0.9, TAYLOR_RULE)],
+        ids=["implied-state", "action"],
+    )
+    def test_values_past_the_float_range_are_rejected_by_name(self, f, t, conjecture):
+        with pytest.raises(ValueError, match="forecast_value"):
+            grid_action_minimizer(f, t, conjecture, ModelParams(mu=0.5, tau2=0.1))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             grid_action_minimizer(1.0, -1.0, TAYLOR_RULE, self.P)

@@ -62,6 +62,38 @@ class TestPolicyShockSpec:
         with pytest.raises((ValueError, MomentMatchInfeasible)):
             PolicyShockSpec(**kwargs)
 
+    def test_every_beta_that_constructs_samples_near_the_cap(self):
+        # targets 0-4 ulps below the Bhatia-Davis cap (mean - lo)(hi - mean)
+        # on supports other than (0, 1), where the rescaled check rounds
+        # differently
+        rng = np.random.default_rng(29)
+        built = 0
+        for _ in range(200):
+            lo = float(rng.choice([0.0, 0.5]))
+            hi = lo + float(rng.choice([0.7, 2.0, 3.0, 5.0]))
+            mean = float(rng.uniform(lo, hi))
+            var = (mean - lo) * (hi - mean)
+            for _ in range(5):
+                try:
+                    spec = PolicyShockSpec("beta_scaled", mean, var, support=(lo, hi))
+                except MomentMatchInfeasible:
+                    pass
+                else:
+                    draws = sample_policy_shock(spec, 20, built)
+                    assert np.all((draws > lo) & (draws < hi)), (mean, var, lo, hi)
+                    built += 1
+                var = math.nextafter(var, 0.0)
+        assert built > 100
+
+    @pytest.mark.parametrize(
+        "mean,var,support",
+        [(0.09, 0.26189999999999997, (0.0, 3.0)), (0.5, 1e-310, None)],
+        ids=["rounds-past-the-cap", "shape-overflows"],
+    )
+    def test_beta_the_sampler_cannot_reach_is_rejected_up_front(self, mean, var, support):
+        with pytest.raises(MomentMatchInfeasible):
+            PolicyShockSpec("beta_scaled", mean, var, support=support)
+
     def test_default_bounds_per_family(self):
         beta = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
         assert beta.bounds == (0.0, 1.0)

@@ -107,6 +107,19 @@ FLOAT_ARGS = [
     ("theta", lambda v: mc_mse_minimizer(v, TAYLOR_RULE, P, SHOCK, CFG)),
     ("forecast_value", lambda v: grid_action_minimizer(v, 0.5, TAYLOR_RULE, P)),
     ("t_cost", lambda v: grid_action_minimizer(1.0, v, TAYLOR_RULE, P)),
+    ("tol", lambda v: best_response_iteration(TAYLOR_RULE, P, tol=v)),
+]
+
+# arguments that must be strictly positive: zero and negatives are rejected
+POSITIVE_ARGS = [
+    ("mu", lambda v: ModelParams(mu=v, tau2=0.1)),
+    ("sigma2", lambda v: ModelParams(mu=0.5, tau2=0.1, sigma2=v)),
+    ("x", lambda v: dm_optimal_action(v, 0.0, P)),
+    ("target_mean", lambda v: PolicyShockSpec("beta_scaled", v, 0.1)),
+    ("noise_var", lambda v: StateNoiseSpec(noise_var=v)),
+    ("bracket_halfwidth", lambda v: OracleConfig(bracket_halfwidth=v)),
+    ("tolerance", lambda v: OracleConfig(tolerance=v)),
+    ("tol", lambda v: best_response_iteration(TAYLOR_RULE, P, tol=v)),
 ]
 
 INT_ARGS = [
@@ -158,6 +171,18 @@ def test_non_finite_float_is_rejected_by_name(name, call, value):
     _rejects(call, value, name)
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "-huge"])
+@pytest.mark.parametrize("name,call", FLOAT_ARGS)
+def test_integer_past_the_float_range_is_rejected_by_name(name, call, value):
+    _rejects(call, value, name)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("name,call", POSITIVE_ARGS)
+def test_non_positive_value_is_rejected_by_name(name, call, value):
+    _rejects(call, value, name)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, np.float64(3.7)])
 @pytest.mark.parametrize("name,call", INT_ARGS)
 def test_non_integral_count_is_rejected_by_name(name, call, value):
@@ -197,6 +222,12 @@ def test_degenerate_support_passes_the_support_rule():
     # the cap (mean - lo) * (hi - mean) underflows to 0 here
     tiny = PolicyShockSpec("degenerate", 1.5e-300, 0.0, support=(1e-300, 2e-300))
     assert np.array_equal(sample_policy_shock(tiny, 3, 0), [1.5e-300] * 3)
+
+
+def test_half_line_cap_takes_a_large_mean():
+    # the cap (mean - lo)**2 overflows to inf, which bounds nothing
+    spec = PolicyShockSpec("truncated_normal", 1e200, 1.0)
+    assert spec.bounds == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("call", FLAT_CONJECTURE)
