@@ -149,11 +149,12 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
     """OLS of realization on forecast over every trailing window.
 
     A window spanning the whole series reproduces the full-sample fit
-    exactly (identical arithmetic, not merely close).
+    exactly (identical arithmetic, not merely close). Raises ValueError where
+    a window's sums leave the float range.
     """
     window = _require_window(window, 3, InsufficientData, len(series))
-    intercept, slope, _, slope_se, r2, mean_err, flat = kernels.rolling_ols(
-        series.forecast, series.realization, window
+    intercept, slope, _, slope_se, r2, mean_err, flat = kernels._within_float_range(
+        kernels.rolling_ols, series.forecast, series.realization, window
     )
     if flat.any():
         starts = np.flatnonzero(flat)

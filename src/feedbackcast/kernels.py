@@ -8,7 +8,10 @@ interpreted by callers).
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+import threading
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -54,8 +57,18 @@ def menu_play(theta, x, eps, a0, a1, y_target):
     return forecast, action, outcome, error
 
 
-# elements in each (windows x window) work buffer of rolling_ols
+# elements in the (windows x window) work buffers of rolling_ols, all workers
+# together; each worker's even share holds at least _MIN_SHARE elements and a
+# whole window
 _CHUNK_ELEMS = 1 << 16
+_MIN_SHARE = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def rolling_ols(xs, ys, window):
@@ -67,13 +80,22 @@ def rolling_ols(xs, ys, window):
     the window mean of ys - xs, computed by rolling_mean. R-squared is 1.0 by
     convention when the window's ys are constant.
 
-    The windows are strided views of xs and ys (no copies), fitted
-    ``_CHUNK_ELEMS // window`` windows at a time through three reused
-    (chunk, window) float64 work buffers. Beyond the outputs, memory is
-    bounded by those buffers (1.5 MB together for any window up to
-    ``_CHUNK_ELEMS``) plus a few per-window arrays of the chunk's length.
+    The windows are strided views of xs and ys (no copies), fitted in chunks
+    through three reused (chunk, window) float64 work buffers. A call whose
+    windows fit in one chunk of ``_CHUNK_ELEMS`` elements runs in the calling
+    thread. Otherwise the windows are split into one contiguous run per
+    worker, and the runs are fitted on parallel threads (numpy releases the
+    GIL in its loops). There is a worker per usable CPU, but no more than
+    there are chunks, and few enough that each gets an even share of the
+    ``_CHUNK_ELEMS`` budget of at least ``_MIN_SHARE`` elements and a whole
+    window: two workers at most. Beyond the outputs, memory is bounded by the
+    buffers of all workers together (1.5 MB for any window up to
+    ``_CHUNK_ELEMS``) plus a few per-window arrays of each chunk's length.
     Each window is reduced with the same expressions, in the same order, as
-    a fit of its slice alone, so the outputs do not depend on the chunking.
+    a fit of its slice alone, so the outputs do not depend on the chunking
+    or on the number of workers. The workers run in copies of the caller's
+    context, so numpy's error state (a context variable since numpy 2.0)
+    applies in them too, and an exception in a worker is raised here.
     Raises ValueError unless 3 <= window <= len(xs) == len(ys).
     """
     xs, ys = _as_f64(xs), _as_f64(ys)
@@ -86,21 +108,29 @@ def rolling_ols(xs, ys, window):
     y_bar = rolling_mean(ys, window)
     mean_error = rolling_mean(ys - xs, window)
     sliding = np.lib.stride_tricks.sliding_window_view
-    x_win = sliding(xs, window)
-    y_win = sliding(ys, window)
     m = x_bar.shape[0]
-    intercept = np.empty(m)
-    slope = np.empty(m)
-    intercept_se = np.empty(m)
-    slope_se = np.empty(m)
-    r_squared = np.empty(m)
-    flat = np.empty(m, dtype=np.uint8)
-    step = min(m, max(1, _CHUNK_ELEMS // window))
-    dx_buf = np.empty((step, window))
-    dy_buf = np.empty((step, window))
-    sq_buf = np.empty((step, window))
-    for lo in range(0, m, step):
-        fit = slice(lo, min(lo + step, m))
+    fits = tuple(np.empty(m) for _ in range(5)) + (np.empty(m, dtype=np.uint8),)
+    step = max(1, _CHUNK_ELEMS // window)
+    workers = 1
+    if m > step:
+        most = _CHUNK_ELEMS // max(window, _MIN_SHARE)
+        workers = max(1, min(_usable_cpus(), -(-m // step), most))
+        step = max(1, _CHUNK_ELEMS // workers // window)
+    data = (sliding(xs, window), sliding(ys, window), x_bar, y_bar, fits, step)
+    bounds = [m * i // workers for i in range(workers + 1)]
+    _run_split(_fit_windows, [(*data, bounds[i], bounds[i + 1]) for i in range(workers)])
+    return fits[:5] + (mean_error, fits[5])
+
+
+def _fit_windows(x_win, y_win, x_bar, y_bar, fits, step, start, stop):
+    """Fit windows [start, stop) ``step`` at a time through work buffers of
+    its own, writing only those rows of the ``fits`` arrays."""
+    intercept, slope, intercept_se, slope_se, r_squared, flat = fits
+    window = x_win.shape[1]
+    shape = (min(step, stop - start), window)
+    dx_buf, dy_buf, sq_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo in range(start, stop, step):
+        fit = slice(lo, min(lo + step, stop))
         xw, yw, xb, yb = x_win[fit], y_win[fit], x_bar[fit], y_bar[fit]
         k = xb.shape[0]
         dx, dy, sq = dx_buf[:k], dy_buf[:k], sq_buf[:k]
@@ -126,7 +156,47 @@ def rolling_ols(xs, ys, window):
         for column in (intercept, slope, intercept_se, slope_se, r_squared):
             column[fit][is_flat] = np.nan
         flat[fit] = is_flat
-    return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
+
+
+def _run_split(fn, runs) -> None:
+    """``fn(*run)`` for every run: the first in the calling thread, each of
+    the others on a thread of its own in a copy of the caller's context.
+    Returns once all have finished; the exception of the earliest run that
+    raised one is raised here."""
+    errors = [None] * len(runs)
+
+    def call(i):
+        try:
+            fn(*runs[i])
+        except BaseException as exc:  # raised again in the calling thread
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(runs)):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(call, i)
+            )
+            thread.start()
+            started.append(thread)
+        fn(*runs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _within_float_range(fit, *args):
+    """``fit(*args)``, with numpy raising where the fit's values leave the
+    float range (an overflow, or an invalid value made from one), reported
+    as ValueError rather than returned as inf, nan or a zero slope."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return fit(*args)
+    except FloatingPointError as exc:
+        raise ValueError(f"the fit's sums overflowed the float range ({exc})") from None
 
 
 def rolling_mean(values, window):

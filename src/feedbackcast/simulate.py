@@ -424,8 +424,11 @@ def _full_ols(xs: np.ndarray, ys: np.ndarray):
 def ols_mz(forecasts, outcomes) -> MzFit:
     """Least-squares line of outcomes on forecasts with classical standard
     errors; the full-sample case of the rolling fit (same arithmetic, so the
-    two agree exactly when the window spans the sample)."""
-    intercept, slope, i_se, s_se, r2 = _full_ols(np.asarray(forecasts), np.asarray(outcomes))
+    two agree exactly when the window spans the sample). Raises ValueError
+    where the fit's sums leave the float range."""
+    intercept, slope, i_se, s_se, r2 = kernels._within_float_range(
+        _full_ols, np.asarray(forecasts), np.asarray(outcomes)
+    )
     return MzFit(MZLine(intercept=intercept, slope=slope), (i_se, s_se), r2)
 
 

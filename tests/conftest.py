@@ -1,6 +1,13 @@
-"""Shared pytest configuration: a deterministic hypothesis profile."""
+"""Shared pytest configuration: a deterministic hypothesis profile, and a
+fixture that counts the threads rolling_ols starts."""
 
+import threading
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from feedbackcast import kernels
 
 settings.register_profile(
     "ci",
@@ -10,3 +17,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """One entry per thread that ``kernels`` starts during the test."""
+    started = []
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return threading.Thread(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=counted))
+    return started

@@ -596,6 +596,17 @@ class TestEvaluate:
         assert code == 1
         assert "window" in err
 
+    def test_sums_past_the_float_range_exit_1_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("period,forecast,realization\np1,1e200,1\np2,-1e200,2\np3,3e200,3\np4,1,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["evaluate", str(path), "--window", "3"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("feedbackcast: error: the fit's sums overflowed the float range")
+
     def test_missing_input_exit_3(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["evaluate", str(tmp_path / "nope.csv")])
         assert code == 3
@@ -923,6 +934,13 @@ class TestImport:
         layers = {"cli", "model", "simulate", "oracle", "evaluate", "kernels"}
         assert {f"feedbackcast.{layer}" for layer in layers} <= set(loaded)
         assert [m for m in loaded if not m.startswith("feedbackcast")] == []
+
+    def test_cli_import_loads_no_executor_module(self):
+        # rolling_ols runs its workers on plain threads; concurrent.futures
+        # would add its import, and logging's, to every command
+        loaded = _fresh("import sys, feedbackcast.cli; print(*sys.modules)").split()
+        assert "threading" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "concurrent"] == []
 
     def test_solve_and_sweep_run_without_numpy(self, tmp_path):
         out = _fresh(

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from feedbackcast import kernels
 from feedbackcast.errors import (
     InsufficientData,
     ParseError,
@@ -161,6 +162,28 @@ class TestRollingMz:
         assert "3 of 10 windows" in message
         assert "'p04'" in message and "'p10'" in message
         assert "'p05'" not in message
+
+    def test_sums_past_the_float_range_raise(self):
+        series = ForecastSeries(
+            periods=("p1", "p2", "p3", "p4"),
+            forecast=np.array([1e200, -1e200, 3e200, 1.0]),
+            realization=np.array([1.0, 2.0, 3.0, 4.0]),
+        )
+        with pytest.raises(ValueError, match="overflowed the float range"):
+            rolling_mz(series, window=3)
+        with pytest.raises(ValueError, match="overflowed the float range"):
+            ols_mz(series.forecast, series.realization)
+
+    def test_overflow_in_the_last_workers_run_raises(self, monkeypatch, started_threads):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        series = _random_series(3 * (kernels._CHUNK_ELEMS // 40), seed=6)
+        forecast = series.forecast.copy()
+        # only the last window holds it, in the second of two workers' runs
+        forecast[-1] = 1e200
+        series = ForecastSeries(series.periods, forecast, series.realization)
+        with pytest.raises(ValueError, match="overflowed the float range"):
+            rolling_mz(series, window=40)
+        assert len(started_threads) == 1
 
     def test_shifting_realizations_shifts_only_the_intercept(self):
         series = _random_series(80, seed=5)

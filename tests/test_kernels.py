@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +187,96 @@ class TestRollingOls:
                 tracemalloc.stop()
         assert peaks[1000] <= 1.1 * peaks[40]
         assert peaks[1000] < 8 * 2**20
+
+
+class TestRollingOlsWorkers:
+    # a budget of 5 * 1024 buffer elements, with shares of at least 1024,
+    # allows up to five workers, each fitting chunks of a few dozen windows
+    WINDOW = 40
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 5 << 10)
+        monkeypatch.setattr(kernels, "_MIN_SHARE", 1 << 10)
+
+    def _series(self, cpus, feature):
+        """About 7.5 budget-sized chunks of windows, with ``feature`` across
+        every boundary between the runs of ``cpus`` workers."""
+        window = self.WINDOW
+        step = kernels._CHUNK_ELEMS // window
+        m = 7 * step + step // 2 + 3
+        rng = np.random.default_rng(cpus)
+        xs = rng.normal(0.0, 1.0, m + window - 1)
+        ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, xs.shape[0])
+        for i in range(1, cpus):
+            b = m * i // cpus
+            if feature == "flat":
+                # windows b-2 .. b+1 have a constant regressor
+                xs[b - 2 : b + window + 1] = 2.0
+            else:
+                # windows b-1 and b have constant outcomes
+                ys[b - 1 : b + window] = 4.0
+        return xs, ys, m
+
+    @pytest.mark.parametrize("feature", ["flat", "constant_ys"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, monkeypatch, small_budget, started_threads, cpus, feature
+    ):
+        xs, ys, m = self._series(cpus, feature)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        got = kernels.rolling_ols(xs, ys, self.WINDOW)
+        assert len(started_threads) == cpus - 1
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        alone = kernels.rolling_ols(xs, ys, self.WINDOW)
+        want = _rolling_ols_by_window(xs, ys, self.WINDOW)
+        for i in range(1, cpus):
+            b = m * i // cpus
+            if feature == "flat":
+                assert got[6][b - 2 : b + 2].tolist() == [1, 1, 1, 1]
+            else:
+                assert got[4][b - 1 : b + 1].tolist() == [1.0, 1.0]
+        for g, a, w in zip(got, alone, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(g, a, equal_nan=True)
+
+    def test_one_chunk_runs_without_a_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a single chunk started a thread")
+
+        monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 4)
+        rng = np.random.default_rng(12)
+        xs = rng.normal(0.0, 1.0, 5000)
+        ys = xs + rng.normal(0.0, 1.0, 5000)
+        *_, flat = kernels.rolling_ols(xs, ys, 5000)
+        assert flat.tolist() == [0]
+
+    def _overflow_in_last_window(self):
+        # two workers on the real budget; only the last window, in the second
+        # worker's run, holds the value whose square overflows
+        rng = np.random.default_rng(13)
+        xs = rng.normal(0.0, 1.0, 3 * (kernels._CHUNK_ELEMS // self.WINDOW))
+        xs[-1] = 1e200
+        return xs, xs + rng.normal(0.0, 1.0, xs.shape[0])
+
+    def test_callers_error_state_applies_in_the_workers(self, monkeypatch, started_threads):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        xs, ys = self._overflow_in_last_window()
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                kernels.rolling_ols(xs, ys, self.WINDOW)
+        assert len(started_threads) == 1
+
+    def test_a_warning_raised_in_a_worker_reaches_the_caller(self, monkeypatch, started_threads):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        xs, ys = self._overflow_in_last_window()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                kernels.rolling_ols(xs, ys, self.WINDOW)
+        assert len(started_threads) == 1
 
 
 class TestRollingMean:
