@@ -37,6 +37,7 @@ from .model import (
     LinearRule,
     ModelParams,
     MZLine,
+    _equilibrium_coefficients,
     bias_line,
     equilibrium_bias_and_mz,
     mz_line,
@@ -229,26 +230,33 @@ def cmd_sweep(ns) -> int:
     if ns.clip is not None:
         _require_positive("--clip", ns.clip)
 
+    clip = ns.clip
     lines = ["mu,tau2,mz_slope,mz_intercept,exists"]
     grid = _linspace(ns.tau2_min, ns.tau2_max, ns.steps)
+    grid_text = [_fmt(tau2) for tau2 in grid]
     for mu in ns.mu:
-        for tau2 in grid:
+        # mu and the target pass the ModelParams rules once; every grid tau2
+        # lies in [tau2-min, tau2-max], already checked above
+        y_target = ModelParams(mu=mu, tau2=grid[0], sigma2=1.0, y_target=ns.ytarget).y_target
+        mu_text = _fmt(mu)
+        row = mu_text + ",%s,%.10g,%.10g,true"  # the two numbers as _fmt gives them
+        for tau2, tau2_text in zip(grid, grid_text):
             try:
-                params = ModelParams(mu=mu, tau2=tau2, sigma2=1.0, y_target=ns.ytarget)
-                _, mz = equilibrium_bias_and_mz(params)
+                _, intercept, slope = _equilibrium_coefficients(mu, tau2, y_target)
             except NoEquilibrium:
-                lines.append(f"{_fmt(mu)},{_fmt(tau2)},,,false")
+                lines.append(f"{mu_text},{tau2_text},,,false")
                 continue
             except DegenerateEquilibrium:
-                lines.append(f"{_fmt(mu)},{_fmt(tau2)},,,true")
+                lines.append(f"{mu_text},{tau2_text},,,true")
                 continue
-            slope, intercept = mz.slope, mz.intercept
-            if ns.clip is not None:
-                slope = min(max(slope, -ns.clip), ns.clip)
-                intercept = min(max(intercept, -ns.clip), ns.clip)
-            lines.append(
-                f"{_fmt(mu)},{_fmt(tau2)},{_fmt(slope)},{_fmt(intercept)},true"
-            )
+            # the checks MZLine makes, in its order
+            _require_finite("intercept", intercept)
+            _require_finite("slope", slope)
+            if clip is not None:
+                # min(max(v, -clip), clip) for finite v, without the builtins' call cost
+                slope = -clip if slope < -clip else clip if slope > clip else slope
+                intercept = -clip if intercept < -clip else clip if intercept > clip else intercept
+            lines.append(row % (tau2_text, slope, intercept))
     text = "\n".join(lines) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:

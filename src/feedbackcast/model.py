@@ -221,7 +221,7 @@ class EquilibriumSolution:
     ``mu + c = 0`` root at ``tau2 = 0``, where the best-response map is
     singular. Root 1 also counts as flat when ``(1 - mu)*s - tau2``, its slope
     times s in exact arithmetic, rounds to zero, so every caller of
-    ``equilibrium_bias_and_mz`` agrees with this flag. At ``tau2 = 1/4`` the
+    ``_equilibrium_coefficients`` agrees with this flag. At ``tau2 = 1/4`` the
     two roots coincide and ``repeated`` is set.
     """
 
@@ -264,9 +264,9 @@ def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
     The root's slope 1/2 - mu + r/2 and wedge - tau2 are c1 and c1*s in
     exact arithmetic, but in floats either can round to zero without the
     other; the root is degenerate when either does. ``solve_equilibria`` and
-    ``equilibrium_bias_and_mz`` both take their verdicts from here, so solve,
-    sweep and simulate agree on them. Plain arithmetic: sweep calls it once
-    per grid point.
+    ``_equilibrium_coefficients`` both take their verdicts from here, so
+    solve, sweep and simulate agree on them. Plain arithmetic: sweep calls it
+    once per grid point.
     """
     if tau2 > 0.25:
         return None
@@ -365,21 +365,23 @@ def mz_line(conjecture: LinearRule, params: ModelParams) -> MZLine:
     )
 
 
-def equilibrium_bias_and_mz(params: ModelParams) -> tuple[BiasLine, MZLine]:
-    """Bias and MZ lines evaluated at the first self-confirming rule.
+def _equilibrium_coefficients(
+    mu: float, tau2: float, y_target: float
+) -> tuple[float, float, float]:
+    """(g, intercept, slope) at the first self-confirming rule, as plain
+    floats: g is the bias line's coefficient on theta, and intercept and
+    slope are the MZ line's. With r = sqrt(1 - 4*tau2) and s = (1 + r)/2,
 
-    With r = sqrt(1 - 4*tau2) and s = (1 + r)/2 the forms reduce to
+        g          = 2*tau2 / (1 + r)
+        intercept  = tau2 / (tau2 - (1-mu)*s) * y_target
+        slope      = (1-mu)*s / ((1-mu)*s - tau2)
 
-        bias coefficient on theta:  2*tau2 / (1 + r)
-        MZ slope:                   (1-mu)*s / ((1-mu)*s - tau2)
-        MZ intercept:               tau2 / (tau2 - (1-mu)*s) * y_target
-
-    At mu = 1 the slope is exactly 0 and the intercept exactly y_target: the
-    forecast absorbs the feedback completely and the outcome stops responding
-    to it. Lines for the second root follow from ``bias_line`` / ``mz_line``
-    applied to ``solve_equilibria(params).rule(2)``.
+    Raises NoEquilibrium or DegenerateEquilibrium on ``_first_root``'s
+    verdict. The arguments are taken as already checked and the results are
+    not checked: ``equilibrium_bias_and_mz`` wraps them in validated lines,
+    and sweep, which calls this once per grid point, checks the MZ pair.
     """
-    first = _first_root(params.mu, params.tau2)
+    first = _first_root(mu, tau2)
     if first is None:
         raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
     r, wedge, degenerate = first
@@ -387,13 +389,26 @@ def equilibrium_bias_and_mz(params: ModelParams) -> tuple[BiasLine, MZLine]:
         raise DegenerateEquilibrium(
             "first equilibrium root has slope zero; its MZ line is undefined"
         )
-    g = 2.0 * params.tau2 / (1.0 + r)
-    bias = BiasLine(coef_theta=g + 0.0, coef_const=-g * params.y_target + 0.0)
-    mz = MZLine(
-        intercept=params.tau2 / (params.tau2 - wedge) * params.y_target + 0.0,
-        slope=wedge / (wedge - params.tau2) + 0.0,
+    return (
+        2.0 * tau2 / (1.0 + r),
+        tau2 / (tau2 - wedge) * y_target + 0.0,
+        wedge / (wedge - tau2) + 0.0,
     )
-    return bias, mz
+
+
+def equilibrium_bias_and_mz(params: ModelParams) -> tuple[BiasLine, MZLine]:
+    """Bias and MZ lines evaluated at the first self-confirming rule: the
+    coefficients of ``_equilibrium_coefficients``, which holds their closed
+    forms, wrapped in checked lines.
+
+    At mu = 1 the MZ slope is exactly 0 and the intercept exactly y_target:
+    the forecast absorbs the feedback completely and the outcome stops
+    responding to it. Lines for the second root follow from ``bias_line`` /
+    ``mz_line`` applied to ``solve_equilibria(params).rule(2)``.
+    """
+    g, intercept, slope = _equilibrium_coefficients(params.mu, params.tau2, params.y_target)
+    bias = BiasLine(coef_theta=g + 0.0, coef_const=-g * params.y_target + 0.0)
+    return bias, MZLine(intercept=intercept, slope=slope)
 
 
 def mse_decomposition(

@@ -23,6 +23,7 @@ from feedbackcast.cli import (
     _write_table,
     main,
 )
+from feedbackcast.errors import DegenerateEquilibrium, NoEquilibrium
 from feedbackcast.evaluate import ingest_csv, rolling_mz
 from feedbackcast.model import ModelParams, equilibrium_bias_and_mz, solve_equilibria
 from feedbackcast.simulate import (
@@ -32,6 +33,8 @@ from feedbackcast.simulate import (
     play_game,
 )
 
+
+DATA_DIR = Path(__file__).parent / "data"
 
 DRAWS_HEADER = "theta,x,forecast,action,outcome,error"
 ROLLING_HEADER = "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error"
@@ -189,6 +192,23 @@ class TestSolve:
         assert code == 1
 
 
+def _sweep_row(mu, tau2, y_target, clip):
+    """One sweep row built from the library's lines: the reference the grid
+    loop must reproduce."""
+    head = f"{_fmt(mu)},{_fmt(tau2)}"
+    try:
+        _, line = equilibrium_bias_and_mz(ModelParams(mu=mu, tau2=tau2, y_target=y_target))
+    except NoEquilibrium:
+        return head + ",,,false"
+    except DegenerateEquilibrium:
+        return head + ",,,true"
+    slope, intercept = line.slope, line.intercept
+    if clip is not None:
+        slope = min(max(slope, -clip), clip)
+        intercept = min(max(intercept, -clip), clip)
+    return f"{head},{_fmt(slope)},{_fmt(intercept)},true"
+
+
 class TestSweep:
     def test_unit_mu_pins_the_line(self, capsys):
         code, out, _ = _run(
@@ -267,6 +287,74 @@ class TestSweep:
             assert slope == "2"
             assert intercept == "-2"
             assert exists == "true"
+
+    @pytest.mark.parametrize("clip", [None, 1.5])
+    def test_rows_equal_the_library_lines_point_by_point(self, capsys, clip):
+        rng = np.random.default_rng(41)
+        mus = [*rng.uniform(0.05, 1.0, 3).tolist(), 1.0, *rng.uniform(1.0, 2.0, 3).tolist()]
+        # (mus, tau2-min, tau2-max, steps, ytarget)
+        cases = [
+            (mus, 0.0, 0.25, 11, 2.0),  # both ends of the feasible range
+            (mus, 0.2, 0.4, 9, -3.5),  # across tau2 = 1/4, with a negative target
+            ([0.883767940337973], 0.10272216796875, 0.10272216796875, 2, 1.0),  # zero slope
+        ]
+        for _ in range(6):
+            lo = float(rng.uniform(0.0, 0.3))
+            cases.append((
+                rng.uniform(0.05, 2.0, 2).tolist(), lo, lo + float(rng.uniform(0.0, 0.1)),
+                int(rng.integers(2, 40)), float(rng.normal(0.0, 5.0)),
+            ))
+        kinds = set()
+        for case_mus, lo, hi, steps, y_target in cases:
+            argv = ["sweep", "--mu", *map(repr, case_mus), "--tau2-min", repr(lo),
+                    "--tau2-max", repr(hi), "--steps", str(steps), "--ytarget", repr(y_target)]
+            if clip is not None:
+                argv += ["--clip", repr(clip)]
+            code, out, err = _run(capsys, argv)
+            assert code == 0, err
+            want = [_sweep_row(mu, tau2, y_target, clip)
+                    for mu in case_mus for tau2 in _linspace(lo, hi, steps)]
+            assert out.splitlines() == ["mu,tau2,mz_slope,mz_intercept,exists", *want]
+            kinds.update(row.split(",", 2)[2] for row in want)
+        # every kind of row: no root, a degenerate root, and (with --clip) a clamped cell
+        assert ",,false" in kinds and ",,true" in kinds
+        cells = {cell for kind in kinds for cell in kind.split(",")[:2]}
+        assert ("1.5" in cells and "-1.5" in cells) == (clip is not None)
+
+    @pytest.mark.parametrize(
+        "mu,extra,message",
+        [
+            ("0", [], "mu must be positive, got 0.0"),
+            ("nan", [], "mu must be finite, got nan"),
+            ("0.5", ["--ytarget", "inf"], "y_target must be finite, got inf"),
+            # the line at tau2 = 0.02 leaves the float range
+            ("0.98", ["--tau2-min", "0.0185", "--ytarget", "1e308"],
+             "intercept must be finite, got -inf"),
+        ],
+    )
+    def test_bad_value_exits_1_with_one_error_line(self, capsys, mu, extra, message):
+        argv = ["sweep", "--mu", mu, "--tau2-min", "0", "--tau2-max", "0.02", "--steps", "2"]
+        code, out, err = _run(capsys, argv + extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"feedbackcast: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("sweep_grid.csv",
+             ["--mu", "0.5", "0.98", "1", "1.3", "--tau2-min", "0", "--tau2-max", "0.3",
+              "--steps", "301", "--ytarget", "2", "--clip", "2"]),
+            ("sweep_degenerate.csv",
+             ["--mu", "0.883767940337973", "--tau2-min", "0.10272216796875",
+              "--tau2-max", "0.10272216796875", "--steps", "2"]),
+        ],
+    )
+    def test_output_equals_the_golden_file(self, capsys, tmp_path, name, argv):
+        path = tmp_path / name
+        code, _, err = _run(capsys, ["sweep", *argv, "--out", str(path)])
+        assert code == 0, err
+        assert path.read_bytes() == (DATA_DIR / name).read_bytes()
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.2",

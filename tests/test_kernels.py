@@ -139,29 +139,43 @@ class TestRollingOls:
         assert r2[0] == 1.0
 
     @pytest.mark.parametrize("window", [3, 40, 129])
-    def test_chunked_pass_equals_the_per_window_fit(self, window):
-        # one and a half chunks of windows, so the last chunk is partial
-        step = max(1, kernels._CHUNK_ELEMS // window)
-        n = step + step // 2 + window - 1
-        rng = np.random.default_rng(window)
-        xs = rng.normal(0.0, 1.0, n)
-        ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, n)
-        # constant regressors over windows step-2 .. step+1 straddle the
-        # first chunk boundary; sums of 2.0 divide back to exactly 2.0
-        xs[step - 2 : step + window + 1] = 2.0
-        # one window of constant outcomes, away from the flat run
-        ys[10 : 10 + window] = 4.0
-        # one window whose squared deviations underflow to zero while its
-        # cross products do not: flat, though sxy / sxx would be infinite
-        xs[window + 20 : 2 * window + 20] = 1e-170 * np.arange(window)
-        got = kernels.rolling_ols(xs, ys, window)
-        want = _rolling_ols_by_window(xs, ys, window)
-        assert got[6][step - 2 : step + 2].tolist() == [1, 1, 1, 1]
-        assert got[6][window + 20] == 1
-        assert got[4][10] == 1.0
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w, equal_nan=True)
+    def test_chunked_pass_equals_the_per_window_fit(self, monkeypatch, window):
+        # one and a half one-worker chunks of windows, so the last chunk is
+        # partial and two usable CPUs give two workers
+        one_worker_step = max(1, kernels._CHUNK_ELEMS // window)
+        m = one_worker_step + one_worker_step // 2
+        n = m + window - 1
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            # the worker count, chunk step and run bounds rolling_ols takes
+            most = kernels._CHUNK_ELEMS // max(window, kernels._MIN_SHARE)
+            workers = max(1, min(cpus, -(-m // one_worker_step), most))
+            assert workers == cpus
+            step = max(1, kernels._CHUNK_ELEMS // workers // window)
+            # the first chunk boundary, and the start of the second run
+            edges = [step] + [m * i // workers for i in range(1, workers)]
+            rng = np.random.default_rng(window)
+            xs = rng.normal(0.0, 1.0, n)
+            ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, n)
+            # constant regressors over windows edge-2 .. edge+1 straddle each
+            # boundary; sums of 2.0 divide back to exactly 2.0
+            for edge in edges:
+                xs[edge - 2 : edge + window + 1] = 2.0
+            # one window of constant outcomes, away from the flat runs
+            ys[10 : 10 + window] = 4.0
+            # one window whose squared deviations underflow to zero while its
+            # cross products do not: flat, though sxy / sxx would be infinite
+            tiny = m - 20
+            xs[tiny : tiny + window] = 1e-170 * np.arange(window)
+            got = kernels.rolling_ols(xs, ys, window)
+            want = _rolling_ols_by_window(xs, ys, window)
+            for edge in edges:
+                assert got[6][edge - 2 : edge + 2].tolist() == [1, 1, 1, 1], (cpus, edge)
+            assert got[6][tiny] == 1
+            assert got[4][10] == 1.0
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w, equal_nan=True)
 
     @pytest.mark.parametrize("window", [0, 2, 11])
     def test_window_outside_three_to_length_rejected(self, window):
