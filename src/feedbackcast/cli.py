@@ -64,25 +64,43 @@ def _fmt(value: float) -> str:
 _BLOCK_ROWS = 4096
 
 
-def _write_table(handle, header: str, fmts, cols) -> None:
+def _write_table(handle, header: str, labels: int, cols) -> None:
     """Write ``header`` and one CSV row per index of the equal-length ``cols``.
 
-    ``fmts`` holds one %-conversion per column: ``"%s"`` for the label
-    columns, which come first, and ``"%.10g"`` for the numbers. The numbers
-    are formatted by ``kernels.format_rows``, byte for byte as ``_fmt`` gives
-    them, and each label is joined in as ``"%s"`` gives it. Rows go out in
-    blocks of ``_BLOCK_ROWS``, so memory stays bounded by one block.
+    The first ``labels`` columns hold text labels, written as ``csv.writer``
+    writes them by default (``_csv_fields``); the numbers after them are
+    formatted by ``kernels.format_rows``, byte for byte as ``_fmt`` gives
+    them. Rows go out in blocks of ``_BLOCK_ROWS``, so memory stays bounded
+    by one block.
     """
     handle.write(header + "\n")
-    labels = fmts.count("%s")
     row = "%s," * labels + "%s\n"
     n = len(cols[0])
     for start in range(0, n, _BLOCK_ROWS):
         parts = [col[start : start + _BLOCK_ROWS] for col in cols]
         text = kernels.format_rows(parts[labels:])
         if labels:
-            text = "".join(map(row.__mod__, zip(*parts[:labels], text.splitlines())))
+            fields = map(_csv_fields, parts[:labels])
+            text = "".join(map(row.__mod__, zip(*fields, text.splitlines())))
         handle.write(text)
+
+
+# the characters that make csv.writer's default QUOTE_MINIMAL quote a field
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_fields(texts):
+    """``texts`` as CSV fields under QUOTE_MINIMAL: a text holding a comma, a
+    double quote, CR or LF is quoted, with its quotes doubled; any other
+    stays as it is. A block without such a text is returned unchanged after
+    a search of its joined text."""
+    joined = "".join(texts)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return texts
+    return [
+        '"%s"' % t.replace('"', '""') if any(c in t for c in _CSV_SPECIAL) else t
+        for t in texts
+    ]
 
 
 # a negative number in decimal, exponent, inf or nan form; argparse's own
@@ -295,7 +313,7 @@ def cmd_simulate(ns) -> int:
         _write_table(
             handle,
             "theta,x,forecast,action,outcome,error",
-            ("%.10g",) * 6,
+            0,
             (out.theta, out.x, out.forecast, out.action, out.outcome, out.error),
         )
 
@@ -351,7 +369,7 @@ def cmd_evaluate(ns) -> int:
     rolling = rolling_mz(series, ns.window)
     table = (
         "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error",
-        ("%s",) + ("%.10g",) * 5,
+        1,
         (
             rolling.window_end,
             rolling.mz_intercept,

@@ -89,27 +89,26 @@ class ParseError(FeedbackcastError):
         self.line_number = line_number
 
 
-def _past_float_range(name: str) -> ValueError:
-    """The error for an argument whose ``float()`` overflows (an integer past
-    the float range); the helpers below raise it from their conversion."""
-    return ValueError(f"{name} must be a float, got an integer past the float range")
+def _as_float(name: str, value) -> float:
+    """``float(value)``, with the OverflowError of an integer past the float
+    range reported as a ValueError naming the argument."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a float, got an integer past the float range"
+        ) from None
 
 
 def _require_finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        raise _past_float_range(name) from None
+    value = _as_float(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _require_positive(name: str, value) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        raise _past_float_range(name) from None
+    value = _as_float(name, value)
     if not 0.0 < value < math.inf:
         _require_finite(name, value)
         raise ValueError(f"{name} must be positive, got {value!r}")
@@ -117,10 +116,7 @@ def _require_positive(name: str, value) -> float:
 
 
 def _require_nonnegative(name: str, value) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        raise _past_float_range(name) from None
+    value = _as_float(name, value)
     if not 0.0 <= value < math.inf:
         _require_finite(name, value)
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
@@ -145,13 +141,7 @@ def _require_pair(name: str, values) -> tuple[float, float]:
         first, second = values
     except (TypeError, ValueError):
         raise ValueError(f"{name} must hold exactly two values, got {values!r}") from None
-    converted = []
-    for i, value in enumerate((first, second)):
-        try:
-            converted.append(float(value))
-        except OverflowError:
-            raise _past_float_range(f"{name}[{i}]") from None
-    return converted[0], converted[1]
+    return _as_float(f"{name}[0]", first), _as_float(f"{name}[1]", second)
 
 
 def _require_menu(menu) -> tuple[float, float]:

@@ -57,11 +57,9 @@ def menu_play(theta, x, eps, a0, a1, y_target):
     return forecast, action, outcome, error
 
 
-# elements in the (windows x window) work buffers of rolling_ols, all workers
-# together; each worker's even share holds at least _MIN_SHARE elements and a
-# whole window
-_CHUNK_ELEMS = 1 << 16
-_MIN_SHARE = 1 << 15
+# elements in each of the two (windows x window) work buffers of rolling_ols;
+# when the windows are fitted in two halves, each half gets half of that
+_CHUNK_ELEMS = 3 << 15
 
 
 def _usable_cpus() -> int:
@@ -81,21 +79,20 @@ def rolling_ols(xs, ys, window):
     convention when the window's ys are constant.
 
     The windows are strided views of xs and ys (no copies), fitted in chunks
-    through three reused (chunk, window) float64 work buffers. A call whose
-    windows fit in one chunk of ``_CHUNK_ELEMS`` elements runs in the calling
-    thread. Otherwise the windows are split into one contiguous run per
-    worker, and the runs are fitted on parallel threads (numpy releases the
-    GIL in its loops). There is a worker per usable CPU, but no more than
-    there are chunks, and few enough that each gets an even share of the
-    ``_CHUNK_ELEMS`` budget of at least ``_MIN_SHARE`` elements and a whole
-    window: two workers at most. Beyond the outputs, memory is bounded by the
-    buffers of all workers together (1.5 MB for any window up to
-    ``_CHUNK_ELEMS``) plus a few per-window arrays of each chunk's length.
-    Each window is reduced with the same expressions, in the same order, as
-    a fit of its slice alone, so the outputs do not depend on the chunking
-    or on the number of workers. The workers run in copies of the caller's
-    context, so numpy's error state (a context variable since numpy 2.0)
-    applies in them too, and an exception in a worker is raised here.
+    through two reused (chunk, window) float64 work buffers of at most
+    ``_CHUNK_ELEMS`` elements each. A call whose windows fit in one chunk
+    runs in the calling thread, and so does any call on one usable CPU or
+    with a window longer than half a buffer. Otherwise the windows are split
+    in two halves, each fitted through buffers half as long: the first in
+    the calling thread, the second on one helper thread (numpy releases the
+    GIL in its loops). Beyond the outputs, memory is bounded by the buffers
+    (1.5 MB for any window up to ``_CHUNK_ELEMS``) plus a few per-window
+    arrays of each chunk's length. Each window is reduced with the same
+    expressions, in the same order, as a fit of its slice alone, so the
+    outputs do not depend on the chunking or on the helper thread. The
+    helper runs in a copy of the caller's context, so numpy's error state
+    (a context variable since numpy 2.0) applies in it too, and an exception
+    in it is raised here unless the first half raised one of its own.
     Raises ValueError unless 3 <= window <= len(xs) == len(ys).
     """
     xs, ys = _as_f64(xs), _as_f64(ys)
@@ -110,43 +107,57 @@ def rolling_ols(xs, ys, window):
     sliding = np.lib.stride_tricks.sliding_window_view
     m = x_bar.shape[0]
     fits = tuple(np.empty(m) for _ in range(5)) + (np.empty(m, dtype=np.uint8),)
+    data = (sliding(xs, window), sliding(ys, window), x_bar, y_bar, fits)
     step = max(1, _CHUNK_ELEMS // window)
-    workers = 1
-    if m > step:
-        most = _CHUNK_ELEMS // max(window, _MIN_SHARE)
-        workers = max(1, min(_usable_cpus(), -(-m // step), most))
-        step = max(1, _CHUNK_ELEMS // workers // window)
-    data = (sliding(xs, window), sliding(ys, window), x_bar, y_bar, fits, step)
-    bounds = [m * i // workers for i in range(workers + 1)]
-    _run_split(_fit_windows, [(*data, bounds[i], bounds[i + 1]) for i in range(workers)])
+    if m <= step or 2 * window > _CHUNK_ELEMS or _usable_cpus() < 2:
+        _fit_windows(*data, step, 0, m)
+        return fits[:5] + (mean_error, fits[5])
+    # each half's buffers are half as long, so the two keep the budget
+    step, half, errors = _CHUNK_ELEMS // 2 // window, m // 2, []
+
+    def second_half():
+        try:
+            _fit_windows(*data, step, half, m)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second_half,))
+    helper.start()
+    try:
+        _fit_windows(*data, step, 0, half)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     return fits[:5] + (mean_error, fits[5])
 
 
 def _fit_windows(x_win, y_win, x_bar, y_bar, fits, step, start, stop):
-    """Fit windows [start, stop) ``step`` at a time through work buffers of
-    its own, writing only those rows of the ``fits`` arrays."""
+    """Fit windows [start, stop) ``step`` at a time through two work buffers
+    of its own, writing only those rows of the ``fits`` arrays."""
     intercept, slope, intercept_se, slope_se, r_squared, flat = fits
     window = x_win.shape[1]
     shape = (min(step, stop - start), window)
-    dx_buf, dy_buf, sq_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    a_buf, b_buf = np.empty(shape), np.empty(shape)
     for lo in range(start, stop, step):
         fit = slice(lo, min(lo + step, stop))
         xw, yw, xb, yb = x_win[fit], y_win[fit], x_bar[fit], y_bar[fit]
         k = xb.shape[0]
-        dx, dy, sq = dx_buf[:k], dy_buf[:k], sq_buf[:k]
-        np.subtract(xw, xb[:, None], out=dx)
-        np.subtract(yw, yb[:, None], out=dy)
-        sxx = np.sum(np.multiply(dx, dx, out=sq), axis=1)
-        sxy = np.sum(np.multiply(dx, dy, out=sq), axis=1)
-        syy = np.sum(np.multiply(dy, dy, out=sq), axis=1)
+        a, b = a_buf[:k], b_buf[:k]
+        dx = np.subtract(xw, xb[:, None], out=a)
+        sxx = np.sum(np.multiply(dx, dx, out=b), axis=1)
+        dy = np.subtract(yw, yb[:, None], out=b)
+        # dx is not needed after sxy, so its buffer takes the products
+        sxy = np.sum(np.multiply(dx, dy, out=a), axis=1)
+        syy = np.sum(np.multiply(dy, dy, out=a), axis=1)
         is_flat = sxx == 0.0
         # flat windows divide by zero here; their columns become NaN below
         with np.errstate(divide="ignore", invalid="ignore"):
             bhat = sxy / sxx
             ahat = yb - bhat * xb
-            resid = np.subtract(yw, ahat[:, None], out=dy)
-            np.subtract(resid, np.multiply(bhat[:, None], xw, out=sq), out=resid)
-            ssr = np.sum(np.multiply(resid, resid, out=sq), axis=1)
+            resid = np.subtract(yw, ahat[:, None], out=b)
+            np.subtract(resid, np.multiply(bhat[:, None], xw, out=a), out=resid)
+            ssr = np.sum(np.multiply(resid, resid, out=a), axis=1)
             sig2 = ssr / (window - 2)
             slope[fit] = bhat
             intercept[fit] = ahat
@@ -156,36 +167,6 @@ def _fit_windows(x_win, y_win, x_bar, y_bar, fits, step, start, stop):
         for column in (intercept, slope, intercept_se, slope_se, r_squared):
             column[fit][is_flat] = np.nan
         flat[fit] = is_flat
-
-
-def _run_split(fn, runs) -> None:
-    """``fn(*run)`` for every run: the first in the calling thread, each of
-    the others on a thread of its own in a copy of the caller's context.
-    Returns once all have finished; the exception of the earliest run that
-    raised one is raised here."""
-    errors = [None] * len(runs)
-
-    def call(i):
-        try:
-            fn(*runs[i])
-        except BaseException as exc:  # raised again in the calling thread
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(runs)):
-            thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(call, i)
-            )
-            thread.start()
-            started.append(thread)
-        fn(*runs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def _within_float_range(fit, *args):

@@ -1,5 +1,7 @@
 """End-to-end coverage of the command-line front end."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -43,6 +45,10 @@ ROLLING_HEADER = "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_e
 # subnormal, exponent form, a rounding tail, and integers past 10 digits
 EDGE_VALUES = (-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 123456789012.0, -2.5)
 
+# label endings that csv.writer quotes (comma, double quote, LF, CR), and one
+# it leaves alone
+CSV_SPECIAL_ENDINGS = (",Q3", '"q"', "a\nb", "a\rb", "plain")
+
 ROW_COUNTS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
 
 
@@ -57,9 +63,9 @@ def _write_rows(path, header, cols):
             )
 
 
-def _write_blocks(path, header, fmts, cols):
+def _write_blocks(path, header, labels, cols):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_table(handle, header, fmts, cols)
+        _write_table(handle, header, labels, cols)
 
 
 def _edge_columns(n, k, seed):
@@ -554,7 +560,7 @@ class TestWriteTable:
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_draws_match_the_per_row_writer(self, tmp_path, n):
         cols = _edge_columns(n, 6, seed=n)
-        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, 0, cols)
         _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
         got = (tmp_path / "blocks.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
@@ -564,8 +570,7 @@ class TestWriteTable:
     def test_rolling_match_the_per_row_writer(self, tmp_path, n):
         labels = tuple(f"p{i:06d}" for i in range(n))
         cols = [labels, *_edge_columns(n, 5, seed=n + 1)]
-        fmts = ("%s",) + ("%.10g",) * 5
-        _write_blocks(tmp_path / "blocks.csv", ROLLING_HEADER, fmts, cols)
+        _write_blocks(tmp_path / "blocks.csv", ROLLING_HEADER, 1, cols)
         _write_rows(tmp_path / "rows.csv", ROLLING_HEADER, cols)
         got = (tmp_path / "blocks.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
@@ -580,11 +585,32 @@ class TestWriteTable:
         else:
             cols = _edge_columns(n, 6, seed=n + 3)
             cols[3] = np.zeros(n)
-        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+        _write_blocks(tmp_path / "blocks.csv", DRAWS_HEADER, 0, cols)
         _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
         got = (tmp_path / "blocks.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
         assert got.count(b"\n") == n + 1
+
+    def test_labels_are_written_as_csv_writer_writes_them(self, tmp_path):
+        # plain labels in the first block, special ones throughout the second
+        n = _BLOCK_ROWS + 7
+        labels = tuple(
+            f"p{i:05d}" + (CSV_SPECIAL_ENDINGS[i % 5] if i >= _BLOCK_ROWS else "")
+            for i in range(n)
+        )
+        cols = [labels, *_edge_columns(n, 5, seed=6)]
+        _write_blocks(tmp_path / "blocks.csv", ROLLING_HEADER, 1, cols)
+        # csv.writer's default dialect, whose "\r\n" row ends make it quote
+        # CR as well as LF; the table ends its rows with "\n"
+        want = io.StringIO()
+        want.write(ROLLING_HEADER + "\n")
+        for label, *values in zip(*cols):
+            row = io.StringIO()
+            csv.writer(row).writerow([label, *map(_fmt, values)])
+            want.write(row.getvalue().removesuffix("\r\n") + "\n")
+        got = (tmp_path / "blocks.csv").read_bytes().decode("utf-8")
+        assert got == want.getvalue()
+        assert got.count('"') > 0
 
     def test_simulate_draws_file_matches_the_per_row_writer(self, capsys, tmp_path):
         n = 2 * _BLOCK_ROWS + 3
@@ -636,7 +662,7 @@ class TestWriteTable:
             cols = _edge_columns(n, 6, seed=4)
             tracemalloc.start()
             try:
-                _write_blocks(tmp_path / "draws.csv", DRAWS_HEADER, ("%.10g",) * 6, cols)
+                _write_blocks(tmp_path / "draws.csv", DRAWS_HEADER, 0, cols)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -677,6 +703,25 @@ class TestEvaluate:
         assert code == 0
         assert out.startswith("full_sample_mz:")
         assert out_path.read_text().splitlines()[0].startswith("window_end,")
+
+    def test_quoted_labels_read_back_as_six_fields(self, capsys, tmp_path):
+        n, window = 30, 5
+        labels = [f"2020-{i:02d}" + CSV_SPECIAL_ENDINGS[i % 5] for i in range(n)]
+        path = tmp_path / "series.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["period", "forecast", "realization"])
+            for i, label in enumerate(labels):
+                writer.writerow([label, float(i), i + 0.5 * (i % 3)])
+        out_path = tmp_path / "rolling.csv"
+        argv = ["evaluate", str(path), "--window", str(window), "--out", str(out_path)]
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        with open(out_path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ROLLING_HEADER.split(",")
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == labels[window - 1 :]
 
     def test_window_too_large_exit_1(self, capsys, tmp_path):
         path = self._series_path(tmp_path, n=4)
@@ -1024,7 +1069,7 @@ class TestImport:
         assert [m for m in loaded if not m.startswith("feedbackcast")] == []
 
     def test_cli_import_loads_no_executor_module(self):
-        # rolling_ols runs its workers on plain threads; concurrent.futures
+        # rolling_ols runs its helper on a plain thread; concurrent.futures
         # would add its import, and logging's, to every command
         loaded = _fresh("import sys, feedbackcast.cli; print(*sys.modules)").split()
         assert "threading" in loaded

@@ -178,7 +178,7 @@ class TestRollingMz:
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         series = _random_series(3 * (kernels._CHUNK_ELEMS // 40), seed=6)
         forecast = series.forecast.copy()
-        # only the last window holds it, in the second of two workers' runs
+        # only the last window holds it, in the half the helper thread fits
         forecast[-1] = 1e200
         series = ForecastSeries(series.periods, forecast, series.realization)
         with pytest.raises(ValueError, match="overflowed the float range"):

@@ -139,21 +139,21 @@ class TestRollingOls:
         assert r2[0] == 1.0
 
     @pytest.mark.parametrize("window", [3, 40, 129])
-    def test_chunked_pass_equals_the_per_window_fit(self, monkeypatch, window):
-        # one and a half one-worker chunks of windows, so the last chunk is
-        # partial and two usable CPUs give two workers
-        one_worker_step = max(1, kernels._CHUNK_ELEMS // window)
-        m = one_worker_step + one_worker_step // 2
+    def test_chunked_pass_equals_the_per_window_fit(self, monkeypatch, started_threads, window):
+        # one and a half one-thread chunks of windows, so the last chunk is
+        # partial and two usable CPUs split the windows in two halves
+        one_thread_step = max(1, kernels._CHUNK_ELEMS // window)
+        m = one_thread_step + one_thread_step // 2
         n = m + window - 1
         for cpus in (1, 2):
             monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-            # the worker count, chunk step and run bounds rolling_ols takes
-            most = kernels._CHUNK_ELEMS // max(window, kernels._MIN_SHARE)
-            workers = max(1, min(cpus, -(-m // one_worker_step), most))
-            assert workers == cpus
-            step = max(1, kernels._CHUNK_ELEMS // workers // window)
-            # the first chunk boundary, and the start of the second run
-            edges = [step] + [m * i // workers for i in range(1, workers)]
+            started_threads.clear()
+            # the first chunk boundary rolling_ols takes, and on two CPUs the
+            # start of the second half, whose chunks are half as long
+            if cpus == 1:
+                edges = [one_thread_step]
+            else:
+                edges = [kernels._CHUNK_ELEMS // 2 // window, m // 2]
             rng = np.random.default_rng(window)
             xs = rng.normal(0.0, 1.0, n)
             ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, n)
@@ -168,6 +168,7 @@ class TestRollingOls:
             tiny = m - 20
             xs[tiny : tiny + window] = 1e-170 * np.arange(window)
             got = kernels.rolling_ols(xs, ys, window)
+            assert len(started_threads) == cpus - 1
             want = _rolling_ols_by_window(xs, ys, window)
             for edge in edges:
                 assert got[6][edge - 2 : edge + 2].tolist() == [1, 1, 1, 1], (cpus, edge)
@@ -202,34 +203,51 @@ class TestRollingOls:
         assert peaks[1000] <= 1.1 * peaks[40]
         assert peaks[1000] < 8 * 2**20
 
+    def test_a_window_past_the_budget_fits_through_two_buffers(self):
+        # the one-window fit every play_game and ols_mz call makes: each work
+        # buffer holds the whole window, and there are two of them
+        n = 10**6
+        rng = np.random.default_rng(14)
+        xs = rng.normal(0.0, 1.0, n)
+        ys = 0.2 + 0.7 * xs + rng.normal(0.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            got = kernels.rolling_ols(xs, ys, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
+        want = _rolling_ols_by_window(xs, ys, n)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=True)
+
 
 class TestRollingOlsWorkers:
-    # a budget of 5 * 1024 buffer elements, with shares of at least 1024,
-    # allows up to five workers, each fitting chunks of a few dozen windows
+    # a budget of 5 * 1024 elements a buffer: chunks of a few dozen windows,
+    # so the windows span several chunks and more than one CPU splits them
     WINDOW = 40
 
     @pytest.fixture
     def small_budget(self, monkeypatch):
         monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 5 << 10)
-        monkeypatch.setattr(kernels, "_MIN_SHARE", 1 << 10)
 
     def _series(self, cpus, feature):
         """About 7.5 budget-sized chunks of windows, with ``feature`` across
-        every boundary between the runs of ``cpus`` workers."""
+        the boundary between the two halves wherever ``cpus`` splits them."""
         window = self.WINDOW
         step = kernels._CHUNK_ELEMS // window
         m = 7 * step + step // 2 + 3
         rng = np.random.default_rng(cpus)
         xs = rng.normal(0.0, 1.0, m + window - 1)
         ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.5, xs.shape[0])
-        for i in range(1, cpus):
-            b = m * i // cpus
-            if feature == "flat":
-                # windows b-2 .. b+1 have a constant regressor
-                xs[b - 2 : b + window + 1] = 2.0
-            else:
-                # windows b-1 and b have constant outcomes
-                ys[b - 1 : b + window] = 4.0
+        b = m // 2
+        if cpus > 1 and feature == "flat":
+            # windows b-2 .. b+1 have a constant regressor
+            xs[b - 2 : b + window + 1] = 2.0
+        elif cpus > 1:
+            # windows b-1 and b have constant outcomes
+            ys[b - 1 : b + window] = 4.0
         return xs, ys, m
 
     @pytest.mark.parametrize("feature", ["flat", "constant_ys"])
@@ -240,16 +258,16 @@ class TestRollingOlsWorkers:
         xs, ys, m = self._series(cpus, feature)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         got = kernels.rolling_ols(xs, ys, self.WINDOW)
-        assert len(started_threads) == cpus - 1
+        # one helper thread at most, whatever the number of CPUs
+        assert len(started_threads) == min(cpus, 2) - 1
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
         alone = kernels.rolling_ols(xs, ys, self.WINDOW)
         want = _rolling_ols_by_window(xs, ys, self.WINDOW)
-        for i in range(1, cpus):
-            b = m * i // cpus
-            if feature == "flat":
-                assert got[6][b - 2 : b + 2].tolist() == [1, 1, 1, 1]
-            else:
-                assert got[4][b - 1 : b + 1].tolist() == [1.0, 1.0]
+        b = m // 2
+        if cpus > 1 and feature == "flat":
+            assert got[6][b - 2 : b + 2].tolist() == [1, 1, 1, 1]
+        elif cpus > 1:
+            assert got[4][b - 1 : b + 1].tolist() == [1.0, 1.0]
         for g, a, w in zip(got, alone, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w, equal_nan=True)
@@ -267,13 +285,41 @@ class TestRollingOlsWorkers:
         *_, flat = kernels.rolling_ols(xs, ys, 5000)
         assert flat.tolist() == [0]
 
+    def test_a_window_over_half_the_budget_runs_without_a_thread(
+        self, monkeypatch, started_threads
+    ):
+        # six one-window chunks, but half a buffer cannot hold a window
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        window = kernels._CHUNK_ELEMS // 2 + 1
+        rng = np.random.default_rng(15)
+        xs = rng.normal(0.0, 1.0, window + 5)
+        ys = xs + rng.normal(0.0, 1.0, xs.shape[0])
+        got = kernels.rolling_ols(xs, ys, window)
+        assert not started_threads
+        for g, w in zip(got, _rolling_ols_by_window(xs, ys, window)):
+            assert np.array_equal(g, w, equal_nan=True)
+
     def _overflow_in_last_window(self):
-        # two workers on the real budget; only the last window, in the second
-        # worker's run, holds the value whose square overflows
+        # two halves on the real budget; only the last window, in the half the
+        # helper thread fits, holds the value whose square overflows
         rng = np.random.default_rng(13)
         xs = rng.normal(0.0, 1.0, 3 * (kernels._CHUNK_ELEMS // self.WINDOW))
         xs[-1] = 1e200
         return xs, xs + rng.normal(0.0, 1.0, xs.shape[0])
+
+    def test_the_first_halfs_exception_is_raised_before_the_helpers(
+        self, monkeypatch, started_threads
+    ):
+        def fail(*args):
+            raise LookupError(args[-2])  # the first window of the half
+
+        monkeypatch.setattr(kernels, "_fit_windows", fail)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        xs, ys = self._overflow_in_last_window()
+        with pytest.raises(LookupError) as raised:
+            kernels.rolling_ols(xs, ys, self.WINDOW)
+        assert raised.value.args == (0,)
+        assert len(started_threads) == 1
 
     def test_callers_error_state_applies_in_the_workers(self, monkeypatch, started_threads):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
