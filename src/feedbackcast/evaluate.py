@@ -149,13 +149,16 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
     """OLS of realization on forecast over every trailing window.
 
     A window spanning the whole series reproduces the full-sample fit
-    exactly (identical arithmetic, not merely close). Raises ValueError where
-    a window's sums leave the float range.
+    exactly (identical arithmetic, not merely close). The mean_error column
+    comes from the error-mean path moving_average_bias takes. Raises
+    ValueError where a window's sums leave the float range, before any
+    ZeroVariance for a flat window.
     """
     window = _require_window(window, 3, InsufficientData, len(series))
-    intercept, slope, _, slope_se, r2, mean_err, flat = kernels._within_float_range(
+    intercept, slope, _, slope_se, r2, flat = kernels._within_float_range(
         kernels.rolling_ols, series.forecast, series.realization, window
     )
+    mean_err = _error_means(series, window)
     if flat.any():
         starts = np.flatnonzero(flat)
         first = series.periods[starts[0] + window - 1]
@@ -179,9 +182,18 @@ def moving_average_bias(
     series: ForecastSeries, window: int
 ) -> list[tuple[str, float]]:
     """Trailing mean of (realization - forecast) per window; window 1 returns
-    the raw error series. Agrees exactly with rolling_mz's mean_error column
-    for matching windows."""
+    the raw error series. Shares rolling_mz's error-mean path, so it agrees
+    exactly with the mean_error column for matching windows and raises
+    ValueError where an error or a window's sum leaves the float range."""
     window = _require_window(window, 1, ValueError, len(series))
-    means = kernels.rolling_mean(series.errors, window)
+    means = _error_means(series, window)
     labels = series.periods[window - 1 :]
     return [(label, float(value)) for label, value in zip(labels, means)]
+
+
+def _error_means(series: ForecastSeries, window: int) -> np.ndarray:
+    """Trailing mean of realization - forecast over every window, with the
+    subtraction and the sums inside the fits' float-range guard."""
+    return kernels._within_float_range(
+        lambda: kernels.rolling_mean(series.errors, window)
+    )

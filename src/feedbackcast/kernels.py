@@ -72,20 +72,20 @@ def _usable_cpus() -> int:
 def rolling_ols(xs, ys, window):
     """Per-window least squares of ys on xs over every contiguous window.
 
-    Returns (intercept, slope, intercept_se, slope_se, r_squared, mean_error,
-    flat) arrays of length len(xs) - window + 1; ``flat`` marks windows with
-    zero regressor variance (their fit columns are NaN). ``mean_error`` is
-    the window mean of ys - xs, computed by rolling_mean. R-squared is 1.0 by
+    Returns (intercept, slope, intercept_se, slope_se, r_squared, flat)
+    arrays of length len(xs) - window + 1; ``flat`` marks windows with zero
+    regressor variance (their fit columns are NaN). R-squared is 1.0 by
     convention when the window's ys are constant.
 
     The windows are strided views of xs and ys (no copies), fitted in chunks
     through two reused (chunk, window) float64 work buffers of at most
-    ``_CHUNK_ELEMS`` elements each. A call whose windows fit in one chunk
-    runs in the calling thread, and so does any call on one usable CPU or
-    with a window longer than half a buffer. Otherwise the windows are split
-    in two halves, each fitted through buffers half as long: the first in
-    the calling thread, the second on one helper thread (numpy releases the
-    GIL in its loops). Beyond the outputs, memory is bounded by the buffers
+    ``_CHUNK_ELEMS`` elements each; each chunk forms its own window means,
+    summed as ``rolling_mean`` sums them. A call whose windows fit in one
+    chunk runs in the calling thread, and so does any call on one usable CPU
+    or with a window longer than half a buffer. Otherwise the windows are
+    split in two halves, each fitted through buffers half as long: the first
+    in the calling thread, the second on one helper thread (numpy releases
+    the GIL in its loops). Beyond the outputs, memory is bounded by the buffers
     (1.5 MB for any window up to ``_CHUNK_ELEMS``) plus a few per-window
     arrays of each chunk's length. Each window is reduced with the same
     expressions, in the same order, as a fit of its slice alone, so the
@@ -101,17 +101,14 @@ def rolling_ols(xs, ys, window):
         raise ValueError(f"xs and ys lengths differ ({xs.shape} vs {ys.shape})")
     if not 3 <= window <= xs.shape[0]:
         raise ValueError(f"window must be in [3, {xs.shape[0]}], got {window}")
-    x_bar = rolling_mean(xs, window)
-    y_bar = rolling_mean(ys, window)
-    mean_error = rolling_mean(ys - xs, window)
     sliding = np.lib.stride_tricks.sliding_window_view
-    m = x_bar.shape[0]
+    m = xs.shape[0] - window + 1
     fits = tuple(np.empty(m) for _ in range(5)) + (np.empty(m, dtype=np.uint8),)
-    data = (sliding(xs, window), sliding(ys, window), x_bar, y_bar, fits)
+    data = (sliding(xs, window), sliding(ys, window), fits)
     step = max(1, _CHUNK_ELEMS // window)
     if m <= step or 2 * window > _CHUNK_ELEMS or _usable_cpus() < 2:
         _fit_windows(*data, step, 0, m)
-        return fits[:5] + (mean_error, fits[5])
+        return fits
     # each half's buffers are half as long, so the two keep the budget
     step, half, errors = _CHUNK_ELEMS // 2 // window, m // 2, []
 
@@ -129,19 +126,23 @@ def rolling_ols(xs, ys, window):
         helper.join()
     if errors:
         raise errors[0]
-    return fits[:5] + (mean_error, fits[5])
+    return fits
 
 
-def _fit_windows(x_win, y_win, x_bar, y_bar, fits, step, start, stop):
+def _fit_windows(x_win, y_win, fits, step, start, stop):
     """Fit windows [start, stop) ``step`` at a time through two work buffers
-    of its own, writing only those rows of the ``fits`` arrays."""
+    of its own, writing only those rows of the ``fits`` arrays. Each chunk
+    forms its window means with ``rolling_mean``'s expression, so they equal
+    ``rolling_mean``'s bit for bit."""
     intercept, slope, intercept_se, slope_se, r_squared, flat = fits
     window = x_win.shape[1]
     shape = (min(step, stop - start), window)
     a_buf, b_buf = np.empty(shape), np.empty(shape)
     for lo in range(start, stop, step):
         fit = slice(lo, min(lo + step, stop))
-        xw, yw, xb, yb = x_win[fit], y_win[fit], x_bar[fit], y_bar[fit]
+        xw, yw = x_win[fit], y_win[fit]
+        xb = np.sum(xw, axis=1) / window
+        yb = np.sum(yw, axis=1) / window
         k = xb.shape[0]
         a, b = a_buf[:k], b_buf[:k]
         dx = np.subtract(xw, xb[:, None], out=a)

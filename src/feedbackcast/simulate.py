@@ -207,7 +207,8 @@ def _truncnorm_parent(
     sd = math.sqrt(var)
 
     def residual(p):
-        m, log_s = p
+        # Python floats, so a far-off iterate overflows to inf without a warning
+        m, log_s = map(float, p)
         mo, vo = _truncnorm_moments(m, math.exp(log_s), lo, hi)
         if not (math.isfinite(mo) and math.isfinite(vo)):
             return [1e6, 1e6]
@@ -409,7 +410,7 @@ def _full_ols(xs: np.ndarray, ys: np.ndarray):
     n = xs.shape[0]
     if n < 3:
         raise InsufficientData(f"need at least 3 observations, got {n}")
-    intercept, slope, i_se, s_se, r2, _, flat = kernels.rolling_ols(xs, ys, n)
+    intercept, slope, i_se, s_se, r2, flat = kernels.rolling_ols(xs, ys, n)
     if flat[0]:
         raise ZeroVariance("regressor is constant; OLS line is undefined")
     return (

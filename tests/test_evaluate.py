@@ -1,6 +1,7 @@
 """CSV ingestion and rolling diagnostics."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -106,12 +107,30 @@ class TestIngest:
             ingest_csv(_write(tmp_path, text))
 
 
+def _labelled(forecasts, realizations):
+    labels = tuple(f"p{i:04d}" for i in range(len(forecasts)))
+    return ForecastSeries(periods=labels, forecast=forecasts, realization=realizations)
+
+
 def _random_series(n, seed=0):
     rng = np.random.default_rng(seed)
     forecasts = rng.normal(2.0, 1.0, n)
-    realizations = 0.2 + 0.9 * forecasts + rng.normal(0.0, 0.5, n)
-    labels = tuple(f"p{i:04d}" for i in range(n))
-    return ForecastSeries(periods=labels, forecast=forecasts, realization=realizations)
+    return _labelled(forecasts, 0.2 + 0.9 * forecasts + rng.normal(0.0, 0.5, n))
+
+
+def _errors_overflow():
+    return _labelled(np.full(5, -1e308), np.full(5, 1e308)), 3
+
+
+def _window_sum_overflows():
+    """Finite errors, 40 of which sum past the float range."""
+    rng = np.random.default_rng(17)
+    series = _labelled(
+        -0.44e307 * (1.0 + 1e-3 * rng.random(40)),
+        0.44e307 * (1.0 + 1e-3 * rng.random(40)),
+    )
+    assert np.isfinite(series.errors).all()
+    return series, 40
 
 
 class TestRollingMz:
@@ -174,6 +193,17 @@ class TestRollingMz:
         with pytest.raises(ValueError, match="overflowed the float range"):
             ols_mz(series.forecast, series.realization)
 
+    def test_mean_error_is_each_windows_mean_error(self):
+        rng = np.random.default_rng(7)
+        xs = rng.normal(0.0, 1.0, 60)
+        ys = 0.3 + 0.9 * xs + rng.normal(0.0, 0.4, 60)
+        window = 12
+        result = rolling_mz(_labelled(xs, ys), window)
+        for w in range(len(result)):
+            xw = xs[w : w + window]
+            yw = ys[w : w + window]
+            assert result.mean_error[w] == pytest.approx(float((yw - xw).mean()), rel=1e-12)
+
     def test_overflow_in_the_last_workers_run_raises(self, monkeypatch, started_threads):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         series = _random_series(3 * (kernels._CHUNK_ELEMS // 40), seed=6)
@@ -222,6 +252,25 @@ class TestMovingAverageBias:
         points = moving_average_bias(series, window=15)
         assert list(result.window_end) == [label for label, _ in points]
         assert np.array_equal(result.mean_error, [v for _, v in points])
+
+    def test_flat_window_has_a_mean_error(self):
+        # rolling_mz refuses the flat first window; its error mean is still
+        # defined, and this is the path rolling_mz's column comes from
+        series = _labelled(
+            np.array([1.0, 1.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        )
+        with pytest.raises(ZeroVariance):
+            rolling_mz(series, window=3)
+        assert moving_average_bias(series, window=3)[0][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("build", [_errors_overflow, _window_sum_overflows])
+    def test_error_means_past_the_float_range_raise(self, build):
+        series, window = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for diagnostic in (moving_average_bias, rolling_mz):
+                with pytest.raises(ValueError, match="overflowed the float range"):
+                    diagnostic(series, window)
 
     def test_validation(self):
         series = _random_series(5)

@@ -44,8 +44,7 @@ def _rolling_ols_by_window(xs, ys, window):
         slope_se[w] = math.sqrt(sig2 / sxx)
         intercept_se[w] = math.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
         r_squared[w] = 1.0 - ssr / syy if syy > 0.0 else 1.0
-    mean_error = kernels.rolling_mean(ys - xs, window)
-    return intercept, slope, intercept_se, slope_se, r_squared, mean_error, flat
+    return intercept, slope, intercept_se, slope_se, r_squared, flat
 
 
 class TestReactPlayValues:
@@ -100,9 +99,7 @@ class TestRollingOls:
         xs = rng.normal(0.0, 1.0, 60)
         ys = 0.3 + 0.9 * xs + rng.normal(0.0, 0.4, 60)
         window = 12
-        intercept, slope, i_se, s_se, r2, mean_error, flat = kernels.rolling_ols(
-            xs, ys, window
-        )
+        intercept, slope, i_se, s_se, r2, flat = kernels.rolling_ols(xs, ys, window)
         assert not flat.any()
         for w in range(len(slope)):
             xw = xs[w : w + window]
@@ -118,23 +115,19 @@ class TestRollingOls:
             assert i_se[w] == pytest.approx(want_ise, rel=1e-7)
             syy = float(((yw - yw.mean()) ** 2).sum())
             assert r2[w] == pytest.approx(1.0 - resid @ resid / syy, abs=1e-9)
-            assert mean_error[w] == pytest.approx(float((yw - xw).mean()), rel=1e-12)
 
     def test_flat_window_flagged_with_nan_fit(self):
         xs = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
         ys = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        intercept, slope, i_se, s_se, r2, mean_error, flat = kernels.rolling_ols(
-            xs, ys, 3
-        )
+        intercept, slope, i_se, s_se, r2, flat = kernels.rolling_ols(xs, ys, 3)
         assert flat.tolist() == [1, 0, 0]
         assert np.isnan([intercept[0], slope[0], i_se[0], s_se[0], r2[0]]).all()
-        assert mean_error[0] == pytest.approx(1.0)
         assert not np.isnan(slope[1:]).any()
 
     def test_constant_outcomes_have_unit_r_squared(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([5.0, 5.0, 5.0])
-        *_, r2, _, flat = kernels.rolling_ols(xs, ys, 3)
+        *_, r2, flat = kernels.rolling_ols(xs, ys, 3)
         assert flat[0] == 0
         assert r2[0] == 1.0
 
@@ -171,8 +164,8 @@ class TestRollingOls:
             assert len(started_threads) == cpus - 1
             want = _rolling_ols_by_window(xs, ys, window)
             for edge in edges:
-                assert got[6][edge - 2 : edge + 2].tolist() == [1, 1, 1, 1], (cpus, edge)
-            assert got[6][tiny] == 1
+                assert got[5][edge - 2 : edge + 2].tolist() == [1, 1, 1, 1], (cpus, edge)
+            assert got[5][tiny] == 1
             assert got[4][10] == 1.0
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
@@ -265,7 +258,7 @@ class TestRollingOlsWorkers:
         want = _rolling_ols_by_window(xs, ys, self.WINDOW)
         b = m // 2
         if cpus > 1 and feature == "flat":
-            assert got[6][b - 2 : b + 2].tolist() == [1, 1, 1, 1]
+            assert got[5][b - 2 : b + 2].tolist() == [1, 1, 1, 1]
         elif cpus > 1:
             assert got[4][b - 1 : b + 1].tolist() == [1.0, 1.0]
         for g, a, w in zip(got, alone, want):

@@ -22,7 +22,7 @@ from feedbackcast.simulate import (
     play_game,
     sample_policy_shock,
 )
-from feedbackcast.simulate import _beta_shape
+from feedbackcast.simulate import _beta_shape, _truncnorm_parent
 
 
 class TestPolicyShockSpec:
@@ -143,6 +143,22 @@ class TestSamplePolicyShock:
         assert abs(float(draws.mean()) - 1.3) < 2e-3
         assert abs(float(draws.var()) - 0.05) < 2e-3
         assert (draws > 0.0).all() and (draws < 2.0).all()
+
+    @pytest.mark.parametrize(
+        "mean,var,support",
+        [(1e200, 1.0, None), (0.5, 1e-320, (0.0, 1.0))],
+        ids=["far-off-mean", "subnormal-variance"],
+    )
+    def test_truncnorm_match_runs_without_a_numpy_warning(self, mean, var, support):
+        # a far mean or a tiny spread puts the normal density's z past 1e154
+        # during the match, where z * z overflows; that must not print a
+        # RuntimeWarning, which the suite turns into an error. The cache is
+        # cleared so that the match runs here, whatever ran before.
+        _truncnorm_parent.cache_clear()
+        spec = PolicyShockSpec("truncated_normal", mean, var, support=support)
+        lo, hi = spec.bounds
+        draws = sample_policy_shock(spec, 3, 0)
+        assert np.all((draws > lo) & (draws < hi))
 
     def test_seed_types_and_validation(self):
         spec = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
