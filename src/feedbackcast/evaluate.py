@@ -155,8 +155,8 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
     ZeroVariance for a flat window.
     """
     window = _require_window(window, 3, InsufficientData, len(series))
-    intercept, slope, _, slope_se, r2, flat = kernels._within_float_range(
-        kernels.rolling_ols, series.forecast, series.realization, window
+    intercept, slope, _, slope_se, r2, flat = kernels.rolling_ols(
+        series.forecast, series.realization, window
     )
     mean_err = _error_means(series, window)
     if flat.any():
@@ -194,6 +194,5 @@ def moving_average_bias(
 def _error_means(series: ForecastSeries, window: int) -> np.ndarray:
     """Trailing mean of realization - forecast over every window, with the
     subtraction and the sums inside the fits' float-range guard."""
-    return kernels._within_float_range(
-        lambda: kernels.rolling_mean(series.errors, window)
-    )
+    with kernels._float_range("the fit's sums"):
+        return kernels.rolling_mean(series.errors, window)

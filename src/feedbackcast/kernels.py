@@ -1,14 +1,15 @@
 """Numeric hot loops, vectorized with numpy.
 
 All kernels take float64 arrays plus scalars and return float64 arrays, except
-``format_rows``, which returns the CSV text of its columns; they raise nothing
-domain-specific (degenerate fits are reported through flag arrays and
-interpreted by callers).
+``format_rows``, which returns the CSV text of its columns. Degenerate fits
+are reported through flag arrays and interpreted by callers; a fit whose sums
+leave the float range raises ValueError itself, whatever numpy error state the
+caller has set.
 """
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import functools
 import os
 import threading
@@ -89,11 +90,10 @@ def rolling_ols(xs, ys, window):
     (1.5 MB for any window up to ``_CHUNK_ELEMS``) plus a few per-window
     arrays of each chunk's length. Each window is reduced with the same
     expressions, in the same order, as a fit of its slice alone, so the
-    outputs do not depend on the chunking or on the helper thread. The
-    helper runs in a copy of the caller's context, so numpy's error state
-    (a context variable since numpy 2.0) applies in it too, and an exception
-    in it is raised here unless the first half raised one of its own.
-    Raises ValueError unless 3 <= window <= len(xs) == len(ys).
+    outputs do not depend on the chunking or on the helper thread. An
+    exception in the helper is raised here unless the first half raised one
+    of its own. Raises ValueError unless 3 <= window <= len(xs) == len(ys),
+    and where a window's sums leave the float range.
     """
     xs, ys = _as_f64(xs), _as_f64(ys)
     window = int(window)
@@ -118,7 +118,7 @@ def rolling_ols(xs, ys, window):
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(second_half,))
+    helper = threading.Thread(target=second_half)
     helper.start()
     try:
         _fit_windows(*data, step, 0, half)
@@ -129,11 +129,27 @@ def rolling_ols(xs, ys, window):
     return fits
 
 
+@contextlib.contextmanager
+def _float_range(what):
+    """Numpy raises inside where values leave the float range (an overflow,
+    or an invalid value made from one), and the error comes out as
+    ValueError naming ``what`` rather than as inf, nan or a zero slope.
+    Underflow is ignored, as numpy does by default, so a caller's own
+    setting cannot turn a flat window's zero into an error in one thread."""
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} overflowed the float range ({exc})") from None
+
+
+@_float_range("the fit's sums")
 def _fit_windows(x_win, y_win, fits, step, start, stop):
     """Fit windows [start, stop) ``step`` at a time through two work buffers
-    of its own, writing only those rows of the ``fits`` arrays. Each chunk
-    forms its window means with ``rolling_mean``'s expression, so they equal
-    ``rolling_mean``'s bit for bit."""
+    of its own, writing only those rows of the ``fits`` arrays, under the
+    float-range guard of the thread that runs it. Each chunk forms its window
+    means with ``rolling_mean``'s expression, so they equal ``rolling_mean``'s
+    bit for bit."""
     intercept, slope, intercept_se, slope_se, r_squared, flat = fits
     window = x_win.shape[1]
     shape = (min(step, stop - start), window)
@@ -163,22 +179,12 @@ def _fit_windows(x_win, y_win, fits, step, start, stop):
             slope[fit] = bhat
             intercept[fit] = ahat
             slope_se[fit] = np.sqrt(sig2 / sxx)
-            intercept_se[fit] = np.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
+            # sqrt(sig2 * (1/window + xb**2 / sxx)), without squaring xb
+            intercept_se[fit] = slope_se[fit] * np.hypot(np.sqrt(sxx / window), xb)
             r_squared[fit] = np.where(syy > 0.0, 1.0 - ssr / syy, 1.0)
         for column in (intercept, slope, intercept_se, slope_se, r_squared):
             column[fit][is_flat] = np.nan
         flat[fit] = is_flat
-
-
-def _within_float_range(fit, *args):
-    """``fit(*args)``, with numpy raising where the fit's values leave the
-    float range (an overflow, or an invalid value made from one), reported
-    as ValueError rather than returned as inf, nan or a zero slope."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return fit(*args)
-    except FloatingPointError as exc:
-        raise ValueError(f"the fit's sums overflowed the float range ({exc})") from None
 
 
 def rolling_mean(values, window):

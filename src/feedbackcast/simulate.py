@@ -427,9 +427,7 @@ def ols_mz(forecasts, outcomes) -> MzFit:
     errors; the full-sample case of the rolling fit (same arithmetic, so the
     two agree exactly when the window spans the sample). Raises ValueError
     where the fit's sums leave the float range."""
-    intercept, slope, i_se, s_se, r2 = kernels._within_float_range(
-        _full_ols, np.asarray(forecasts), np.asarray(outcomes)
-    )
+    intercept, slope, i_se, s_se, r2 = _full_ols(forecasts, outcomes)
     return MzFit(MZLine(intercept=intercept, slope=slope), (i_se, s_se), r2)
 
 
@@ -478,37 +476,34 @@ def play_game(
     x = sample_policy_shock(shock, n, seed_x)
     eps = np.random.default_rng(seed_eps).normal(0.0, math.sqrt(sn.noise_var), n)
 
-    # numpy raises where the play or the fit leaves the float range, rather
-    # than warning and handing on inf or nan
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if run.scenario == "constrained_menu":
-                a0, a1 = run.menu
-                forecast, action, outcome, error = kernels.menu_play(
-                    theta, x, eps, a0, a1, params.y_target
-                )
-            elif run.dm_applies_assumed:  # only ever set under "conditional"
-                a0 = run.assumed_action
-                forecast = theta + a0
-                action = np.full(n, float(a0))
-                outcome = forecast + eps
-                error = outcome - forecast
+    # numpy raises where the play leaves the float range, rather than
+    # warning and handing on inf or nan; the fits raise their own error
+    with kernels._float_range("the game's values"):
+        if run.scenario == "constrained_menu":
+            a0, a1 = run.menu
+            forecast, action, outcome, error = kernels.menu_play(
+                theta, x, eps, a0, a1, params.y_target
+            )
+        elif run.dm_applies_assumed:  # only ever set under "conditional"
+            a0 = run.assumed_action
+            forecast = theta + a0
+            action = np.full(n, float(a0))
+            outcome = forecast + eps
+            error = outcome - forecast
+        else:
+            # the published rule and the conjecture the DM reads it through
+            if run.scenario == "equilibrium":
+                rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
+            elif run.scenario == "conditional":
+                rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
             else:
-                # the published rule and the conjecture the DM reads it through
-                if run.scenario == "equilibrium":
-                    rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
-                elif run.scenario == "conditional":
-                    rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
-                else:
-                    cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
-                    rule = optimal_forecast(cj, params)
-                forecast, action, outcome, error = kernels.react_play(
-                    theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope,
-                    params.y_target,
-                )
-            summary = _summarize(theta, forecast, outcome, error, run)
-    except FloatingPointError as exc:
-        raise ValueError(f"the game's values overflowed the float range ({exc})") from None
+                cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
+                rule = optimal_forecast(cj, params)
+            forecast, action, outcome, error = kernels.react_play(
+                theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope,
+                params.y_target,
+            )
+        summary = _summarize(theta, forecast, outcome, error, run)
 
     return SimulationOutput(
         theta=theta,

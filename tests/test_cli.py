@@ -740,6 +740,24 @@ class TestEvaluate:
         assert err.count("\n") == 1
         assert err.startswith("feedbackcast: error: the fit's sums overflowed the float range")
 
+    def test_a_level_past_the_root_of_the_float_range_exits_0(self, capsys, tmp_path):
+        # the window means square past the float range, the fits do not
+        rng = np.random.default_rng(31)
+        forecast = 2e154 + rng.normal(0.0, 1e140, 50)
+        realization = forecast + rng.normal(0.0, 1e139, 50)
+        rows = enumerate(zip(forecast.tolist(), realization.tolist()))
+        path = tmp_path / "high.csv"
+        path.write_text(
+            "period,forecast,realization\n"
+            + "".join(f"p{i:02d},{f!r},{r!r}\n" for i, (f, r) in rows)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["evaluate", str(path), "--window", "10"])
+        assert code == 0
+        assert err == ""
+        assert out.startswith("full_sample_mz: intercept=-3.75")
+
     def test_missing_input_exit_3(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["evaluate", str(tmp_path / "nope.csv")])
         assert code == 3

@@ -193,6 +193,29 @@ class TestRollingMz:
         with pytest.raises(ValueError, match="overflowed the float range"):
             ols_mz(series.forecast, series.realization)
 
+    def test_a_level_past_the_root_of_the_float_range_fits(self):
+        # squaring the window mean would overflow, though every output is
+        # finite; the power of two nearest 1e-150 scales every value exactly
+        rng = np.random.default_rng(31)
+        forecast = 2e154 + rng.normal(0.0, 1e140, 50)
+        realization = forecast + rng.normal(0.0, 1e139, 50)
+        scale = 2.0**-500
+        big = rolling_mz(_labelled(forecast, realization), 10)
+        small = rolling_mz(_labelled(forecast * scale, realization * scale), 10)
+        for name, unit in [
+            ("mz_intercept", scale), ("mz_slope", 1.0), ("slope_stderr", 1.0),
+            ("r_squared", 1.0), ("mean_error", scale),
+        ]:
+            want = getattr(small, name) / unit
+            assert np.allclose(getattr(big, name), want, rtol=1e-12, atol=0.0), name
+        fit = ols_mz(forecast, realization)
+        scaled = ols_mz(forecast * scale, realization * scale)
+        assert fit.line.intercept == pytest.approx(scaled.line.intercept / scale, rel=1e-12)
+        assert fit.line.slope == pytest.approx(scaled.line.slope, rel=1e-12)
+        assert fit.stderrs[0] == pytest.approx(scaled.stderrs[0] / scale, rel=1e-12)
+        assert fit.stderrs[1] == pytest.approx(scaled.stderrs[1], rel=1e-12)
+        assert fit.r_squared == pytest.approx(scaled.r_squared, rel=1e-12)
+
     def test_mean_error_is_each_windows_mean_error(self):
         rng = np.random.default_rng(7)
         xs = rng.normal(0.0, 1.0, 60)

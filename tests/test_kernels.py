@@ -1,5 +1,6 @@
 """Values of the numpy hot loops against scalar and per-slice references."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -42,9 +43,17 @@ def _rolling_ols_by_window(xs, ys, window):
         slope[w] = bhat
         intercept[w] = ahat
         slope_se[w] = math.sqrt(sig2 / sxx)
-        intercept_se[w] = math.sqrt(sig2 * (1.0 / window + xb * xb / sxx))
+        # np.hypot, as the kernel calls it: math.hypot rounds differently
+        intercept_se[w] = slope_se[w] * np.hypot(math.sqrt(sxx / window), xb)
         r_squared[w] = 1.0 - ssr / syy if syy > 0.0 else 1.0
     return intercept, slope, intercept_se, slope_se, r_squared, flat
+
+
+@contextlib.contextmanager
+def _warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 class TestReactPlayValues:
@@ -314,22 +323,43 @@ class TestRollingOlsWorkers:
         assert raised.value.args == (0,)
         assert len(started_threads) == 1
 
-    def test_callers_error_state_applies_in_the_workers(self, monkeypatch, started_threads):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize(
+        "caller_state",
+        [contextlib.nullcontext, lambda: np.errstate(all="ignore"), _warnings_as_errors],
+        ids=["default", "errstate_ignore", "warnings_error"],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_overflow_raises_the_fits_error_whatever_the_callers_state(
+        self, monkeypatch, started_threads, cpus, caller_state
+    ):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         xs, ys = self._overflow_in_last_window()
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="overflow"):
+        with caller_state():
+            before = np.geterr()
+            with pytest.raises(ValueError, match=r"^the fit's sums overflowed the float range"):
                 kernels.rolling_ols(xs, ys, self.WINDOW)
-        assert len(started_threads) == 1
+            assert np.geterr() == before
+        assert len(started_threads) == cpus - 1
 
-    def test_a_warning_raised_in_a_worker_reaches_the_caller(self, monkeypatch, started_threads):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
-        xs, ys = self._overflow_in_last_window()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                kernels.rolling_ols(xs, ys, self.WINDOW)
-        assert len(started_threads) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_underflow_is_no_error_whatever_the_callers_state(self, monkeypatch, cpus):
+        # squared deviations of 1e-170 underflow to zero, so the first and the
+        # last window are flat, in either half, also where the caller has
+        # numpy raise on underflow
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        window = self.WINDOW
+        rng = np.random.default_rng(16)
+        xs = rng.normal(0.0, 1.0, 3 * (kernels._CHUNK_ELEMS // window))
+        ys = xs + rng.normal(0.0, 1.0, xs.shape[0])
+        for start in (0, xs.shape[0] - window):
+            xs[start : start + window] = 1e-170 * np.arange(window)
+        want = kernels.rolling_ols(xs, ys, window)
+        with np.errstate(under="raise"):
+            got = kernels.rolling_ols(xs, ys, window)
+        assert got[5][0] == got[5][-1] == 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestRollingMean:
