@@ -16,12 +16,15 @@ argparse converts and checks every value and explicit flags always win. The
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import stat
 import sys
 from dataclasses import asdict
 
+from . import _numpy as np
 from . import kernels
 from .errors import (
     DegenerateEquilibrium,
@@ -50,8 +53,8 @@ from .simulate import (
     PolicyShockSpec,
     SimulationRun,
     StateNoiseSpec,
+    _play_blocks,
     ols_mz,
-    play_game,
 )
 
 ENV_SEED = "FEEDBACKCAST_SEED"
@@ -62,10 +65,19 @@ def _fmt(value: float) -> str:
 
 
 _BLOCK_ROWS = 4096
+# rows of the game played, summed and written at a time by ``simulate``
+_PLAY_ROWS = 1 << 16
 
 
 def _write_table(handle, header: str, labels: int, cols) -> None:
-    """Write ``header`` and one CSV row per index of the equal-length ``cols``.
+    """Write ``header`` and one CSV row per index of the equal-length ``cols``
+    (``_write_rows``)."""
+    handle.write(header + "\n")
+    _write_rows(handle, labels, cols)
+
+
+def _write_rows(handle, labels: int, cols) -> None:
+    """Write one CSV row per index of the equal-length ``cols``.
 
     The first ``labels`` columns hold text labels, written as ``csv.writer``
     writes them by default (``_csv_fields``); the numbers after them are
@@ -73,7 +85,6 @@ def _write_table(handle, header: str, labels: int, cols) -> None:
     them. Rows go out in blocks of ``_BLOCK_ROWS``, so memory stays bounded
     by one block.
     """
-    handle.write(header + "\n")
     row = "%s," * labels + "%s\n"
     n = len(cols[0])
     for start in range(0, n, _BLOCK_ROWS):
@@ -83,6 +94,63 @@ def _write_table(handle, header: str, labels: int, cols) -> None:
             fields = map(_csv_fields, parts[:labels])
             text = "".join(map(row.__mod__, zip(*fields, text.splitlines())))
         handle.write(text)
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A text handle whose content reaches ``path`` (stdout when None) only
+    if the block completes.
+
+    A path not yet there, or a regular file, is written as a new file next
+    to its real location (symbolic links followed), created with mode "x"
+    and so with the permission bits ``open(path, "w")`` gives a new file (an
+    existing file's bits are copied to it), then moved over it with
+    ``os.replace``. Stdout, and anything else (a device, a pipe, a
+    ``/dev/fd`` name that resolves to no file), gets an anonymous temporary
+    file that ``open(path, "w")`` receives at the end. If the block raises,
+    the temporary file is removed and ``path`` is left as it was.
+    """
+    real = mode = None
+    if path is not None:
+        real = os.path.realpath(path)
+        with contextlib.suppress(FileNotFoundError):
+            mode = os.stat(path).st_mode
+            if not (stat.S_ISREG(mode) and os.path.exists(real) and os.path.samefile(path, real)):
+                real = None
+    if real is None:
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            with (
+                contextlib.nullcontext(sys.stdout) if path is None
+                else open(path, "w", encoding="utf-8", newline="")
+            ) as target:
+                for chunk in iter(lambda: spool.read(1 << 16), ""):
+                    target.write(chunk)
+        return
+    head, tail = os.path.split(real)
+    while True:
+        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            handle = open(temp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            # the error names the path asked for, not the temporary one
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temp, real)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 # the characters that make csv.writer's default QUOTE_MINIMAL quote a field
@@ -153,16 +221,21 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    """``np.linspace(lo, hi, steps).tolist()`` for ``steps >= 2``, computed
-    with numpy's own arithmetic, so the sweep runs without numpy."""
+def _linspace(lo: float, hi: float, steps: int):
+    """The values of ``np.linspace(lo, hi, steps).tolist()`` for
+    ``steps >= 2``, one at a time, computed with numpy's own arithmetic, so
+    the sweep runs without numpy and holds no grid in memory."""
     div = steps - 1
     delta = hi - lo
     step = delta / div
     if step == 0.0:
         # numpy scales by i / div when the step underflows (or lo == hi)
-        return [lo + i / div * delta for i in range(div)] + [hi]
-    return [lo + i * step for i in range(div)] + [hi]
+        for i in range(div):
+            yield lo + i / div * delta
+    else:
+        for i in range(div):
+            yield lo + i * step
+    yield hi
 
 
 def _both_or_neither(first, second, flags: str) -> tuple | None:
@@ -249,38 +322,43 @@ def cmd_sweep(ns) -> int:
         _require_positive("--clip", ns.clip)
 
     clip = ns.clip
-    lines = ["mu,tau2,mz_slope,mz_intercept,exists"]
-    grid = _linspace(ns.tau2_min, ns.tau2_max, ns.steps)
-    grid_text = [_fmt(tau2) for tau2 in grid]
-    for mu in ns.mu:
-        # mu and the target pass the ModelParams rules once; every grid tau2
-        # lies in [tau2-min, tau2-max], already checked above
-        y_target = ModelParams(mu=mu, tau2=grid[0], sigma2=1.0, y_target=ns.ytarget).y_target
-        mu_text = _fmt(mu)
-        row = mu_text + ",%s,%.10g,%.10g,true"  # the two numbers as _fmt gives them
-        for tau2, tau2_text in zip(grid, grid_text):
-            try:
-                _, intercept, slope = _equilibrium_coefficients(mu, tau2, y_target)
-            except NoEquilibrium:
-                lines.append(f"{mu_text},{tau2_text},,,false")
-                continue
-            except DegenerateEquilibrium:
-                lines.append(f"{mu_text},{tau2_text},,,true")
-                continue
-            # the checks MZLine makes, in its order
-            _require_finite("intercept", intercept)
-            _require_finite("slope", slope)
-            if clip is not None:
-                # min(max(v, -clip), clip) for finite v, without the builtins' call cost
-                slope = -clip if slope < -clip else clip if slope > clip else slope
-                intercept = -clip if intercept < -clip else clip if intercept > clip else intercept
-            lines.append(row % (tau2_text, slope, intercept))
-    text = "\n".join(lines) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(ns.out or None) as handle:
+        handle.write("mu,tau2,mz_slope,mz_intercept,exists\n")
+        lines = []
+        for mu in ns.mu:
+            # mu and the target pass the ModelParams rules once; every grid
+            # tau2 lies in [tau2-min, tau2-max], already checked above
+            y_target = ModelParams(
+                mu=mu, tau2=ns.tau2_min, sigma2=1.0, y_target=ns.ytarget
+            ).y_target
+            mu_text = _fmt(mu)
+            row = mu_text + ",%s,%.10g,%.10g,true"  # the two numbers as _fmt gives them
+            for tau2 in _linspace(ns.tau2_min, ns.tau2_max, ns.steps):
+                tau2_text = "%.10g" % tau2  # as _fmt gives it
+                try:
+                    _, intercept, slope = _equilibrium_coefficients(mu, tau2, y_target)
+                except NoEquilibrium:
+                    lines.append(f"{mu_text},{tau2_text},,,false")
+                except DegenerateEquilibrium:
+                    lines.append(f"{mu_text},{tau2_text},,,true")
+                else:
+                    # the checks MZLine makes, in its order
+                    _require_finite("intercept", intercept)
+                    _require_finite("slope", slope)
+                    if clip is not None:
+                        # min(max(v, -clip), clip) for finite v, without the
+                        # builtins' call cost
+                        slope = -clip if slope < -clip else clip if slope > clip else slope
+                        intercept = (
+                            -clip if intercept < -clip else clip if intercept > clip else intercept
+                        )
+                    lines.append(row % (tau2_text, slope, intercept))
+                if len(lines) == _BLOCK_ROWS:
+                    lines.append("")
+                    handle.write("\n".join(lines))
+                    lines.clear()
+        lines.append("")
+        handle.write("\n".join(lines))
     return 0
 
 
@@ -305,36 +383,40 @@ def cmd_simulate(ns) -> int:
         dm_applies_assumed=ns.dm_applies_assumed,
         menu=ns.menu,
     )
-    out = play_game(run, shock, state, params)
+    blocks = _play_blocks(run, shock, state, params, _PLAY_ROWS)
+    # glibc's malloc raises its mmap and heap-trim thresholds to the size of
+    # the largest mmapped block freed (up to 32 MB). Freeing an 8 MB one here
+    # keeps each block's arrays and the writer's temporaries on a heap that
+    # is not trimmed between blocks, instead of handing them back to the
+    # system and faulting them in again (about 65,000 page faults in a
+    # 1e6-draw run without it, and under 10 with it)
+    np.empty(16 * _PLAY_ROWS)
 
     draws_path = f"{ns.out_prefix}_draws.csv"
     summary_path = f"{ns.out_prefix}_summary.json"
-    with open(draws_path, "w", encoding="utf-8", newline="") as handle:
-        _write_table(
-            handle,
-            "theta,x,forecast,action,outcome,error",
-            0,
-            (out.theta, out.x, out.forecast, out.action, out.outcome, out.error),
-        )
-
-    s = out.summary
-    summary = {
-        "scenario": run.scenario,
-        "draw_count": run.draw_count,
-        "seed": run.seed,
-        "params": asdict(params),
-        "shock": {**asdict(shock), "support": list(shock.bounds)},
-        "state": asdict(state),
-        "summary": {
-            "mean_error": s.mean_error,
-            "mse": s.mse,
-            "variance_component": s.variance_component,
-            "bias_sq_component": s.bias_sq_component,
-            "mz": _fit_dict(s.mz),
-            "bias_fit": _fit_dict(s.bias_fit),
-        },
-    }
-    with open(summary_path, "w", encoding="utf-8", newline="") as handle:
+    with _output(draws_path) as draws, _output(summary_path) as handle:
+        draws.write("theta,x,forecast,action,outcome,error\n")
+        total = None
+        for columns, sums in blocks:
+            _write_rows(draws, 0, columns)
+            total = sums if total is None else total.merge(sums)
+        s = total.summary()
+        summary = {
+            "scenario": run.scenario,
+            "draw_count": run.draw_count,
+            "seed": run.seed,
+            "params": asdict(params),
+            "shock": {**asdict(shock), "support": list(shock.bounds)},
+            "state": asdict(state),
+            "summary": {
+                "mean_error": s.mean_error,
+                "mse": s.mse,
+                "variance_component": s.variance_component,
+                "bias_sq_component": s.bias_sq_component,
+                "mz": _fit_dict(s.mz),
+                "bias_fit": _fit_dict(s.bias_fit),
+            },
+        }
         json.dump(summary, handle, indent=2)
         handle.write("\n")
 
@@ -356,6 +438,9 @@ def cmd_evaluate(ns) -> int:
     if ns.input is None:
         raise ValueError("evaluate needs an input CSV (positional or config key 'input')")
     series = ingest_csv(ns.input)
+    # the rolling fit first: a window of constant forecasts is reported with
+    # where it ends, before anything is printed
+    rolling = rolling_mz(series, ns.window)
     full = ols_mz(series.forecast, series.realization)
     print(
         "full_sample_mz: intercept=%s slope=%s slope_stderr=%s r_squared=%s"
@@ -366,7 +451,6 @@ def cmd_evaluate(ns) -> int:
             _fmt(full.r_squared),
         )
     )
-    rolling = rolling_mz(series, ns.window)
     table = (
         "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error",
         1,

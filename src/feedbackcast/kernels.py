@@ -150,41 +150,86 @@ def _fit_windows(x_win, y_win, fits, step, start, stop):
     float-range guard of the thread that runs it. Each chunk forms its window
     means with ``rolling_mean``'s expression, so they equal ``rolling_mean``'s
     bit for bit."""
-    intercept, slope, intercept_se, slope_se, r_squared, flat = fits
     window = x_win.shape[1]
     shape = (min(step, stop - start), window)
     a_buf, b_buf = np.empty(shape), np.empty(shape)
     for lo in range(start, stop, step):
         fit = slice(lo, min(lo + step, stop))
-        xw, yw = x_win[fit], y_win[fit]
-        xb = np.sum(xw, axis=1) / window
-        yb = np.sum(yw, axis=1) / window
-        k = xb.shape[0]
-        a, b = a_buf[:k], b_buf[:k]
-        dx = np.subtract(xw, xb[:, None], out=a)
-        sxx = np.sum(np.multiply(dx, dx, out=b), axis=1)
-        dy = np.subtract(yw, yb[:, None], out=b)
-        # dx is not needed after sxy, so its buffer takes the products
-        sxy = np.sum(np.multiply(dx, dy, out=a), axis=1)
-        syy = np.sum(np.multiply(dy, dy, out=a), axis=1)
-        is_flat = sxx == 0.0
-        # flat windows divide by zero here; their columns become NaN below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bhat = sxy / sxx
-            ahat = yb - bhat * xb
-            resid = np.subtract(yw, ahat[:, None], out=b)
-            np.subtract(resid, np.multiply(bhat[:, None], xw, out=a), out=resid)
-            ssr = np.sum(np.multiply(resid, resid, out=a), axis=1)
-            sig2 = ssr / (window - 2)
-            slope[fit] = bhat
-            intercept[fit] = ahat
-            slope_se[fit] = np.sqrt(sig2 / sxx)
-            # sqrt(sig2 * (1/window + xb**2 / sxx)), without squaring xb
-            intercept_se[fit] = slope_se[fit] * np.hypot(np.sqrt(sxx / window), xb)
-            r_squared[fit] = np.where(syy > 0.0, 1.0 - ssr / syy, 1.0)
-        for column in (intercept, slope, intercept_se, slope_se, r_squared):
-            column[fit][is_flat] = np.nan
-        flat[fit] = is_flat
+        sums = _window_sums(x_win[fit], y_win[fit], a_buf, b_buf)
+        for column, values in zip(fits, _fit_columns(window, *sums)):
+            column[fit] = values
+
+
+# the computed mean of n equal xs is off their value by at most n * 2**-53
+# times it (the summation's bound, plus the division), and so is their
+# centred spread sqrt(sxx / n); only windows whose spread is within twice
+# that of their mean (sqrt(sxx) <= 2**-52 * n**1.5 * |mean|) are compared
+# value by value
+_FLAT_RTOL = 2.0**-52
+
+
+def _window_sums(x_win, y_win, a_buf, b_buf):
+    """(x mean, y mean, sxx, sxy, syy, ssr, slope, intercept) of each row of
+    the (k, window) arrays ``x_win`` and ``y_win``, through the two work
+    buffers: the centred sums, the row's least-squares line, and the
+    residual sum of squares about it.
+
+    A row whose xs are all equal gets sxx = sxy = 0 and its x value as its
+    mean; a row with sxx = 0 (all equal, or a spread whose squares underflow)
+    gets slope 0, so its ssr is its syy. Only rows whose spread lies within
+    ``_FLAT_RTOL`` of rounding are compared value by value.
+    """
+    window = x_win.shape[1]
+    xb = np.sum(x_win, axis=1) / window
+    yb = np.sum(y_win, axis=1) / window
+    k = xb.shape[0]
+    a, b = a_buf[:k], b_buf[:k]
+    dx = np.subtract(x_win, xb[:, None], out=a)
+    sxx = np.sum(np.multiply(dx, dx, out=b), axis=1)
+    dy = np.subtract(y_win, yb[:, None], out=b)
+    # dx is not needed after sxy, so its buffer takes the products
+    sxy = np.sum(np.multiply(dx, dy, out=a), axis=1)
+    syy = np.sum(np.multiply(dy, dy, out=a), axis=1)
+    # every row with sxx = 0 is near
+    near = (np.sqrt(sxx) <= _FLAT_RTOL * window**1.5 * np.abs(xb)).nonzero()[0]
+    if near.size:
+        # a copy of at most a chunk; a one-window fit compares in place
+        rows = x_win if near.size == k else x_win[near]
+        equal = near[rows.min(axis=1) == rows.max(axis=1)]
+        xb[equal] = x_win[equal, 0]
+        sxx[equal] = sxy[equal] = 0.0
+        bhat = _slope(sxy, sxx)
+    else:
+        bhat = sxy / sxx
+    ahat = yb - bhat * xb
+    resid = np.subtract(y_win, ahat[:, None], out=b)
+    np.subtract(resid, np.multiply(bhat[:, None], x_win, out=a), out=resid)
+    ssr = np.sum(np.multiply(resid, resid, out=a), axis=1)
+    return xb, yb, sxx, sxy, syy, ssr, bhat, ahat
+
+
+def _slope(sxy, sxx):
+    """sxy / sxx, and 0 where sxx is 0."""
+    return np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx != 0.0)
+
+
+def _fit_columns(n, xb, yb, sxx, sxy, syy, ssr, slope, intercept):
+    """(intercept, slope, intercept_se, slope_se, r_squared, flat) of fits
+    of ``n`` points from their sums and lines (``_window_sums``'s, or merged
+    ones). A fit with sxx = 0 is flat, and its other columns are NaN;
+    R-squared is 1.0 where syy is 0."""
+    flat = sxx == 0.0
+    # flat fits divide by zero here; their columns become NaN below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sig2 = ssr / (n - 2)
+        slope_se = np.sqrt(sig2 / sxx)
+        # sqrt(sig2 * (1/n + xb**2 / sxx)), without squaring xb
+        intercept_se = slope_se * np.hypot(np.sqrt(sxx / n), xb)
+        r_squared = np.where(syy > 0.0, 1.0 - ssr / syy, 1.0)
+    columns = (intercept, slope, intercept_se, slope_se, r_squared)
+    if flat.any():
+        columns = tuple(np.where(flat, np.nan, column) for column in columns)
+    return (*columns, flat)
 
 
 def rolling_mean(values, window):

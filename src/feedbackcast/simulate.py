@@ -15,6 +15,7 @@ sampled in the process.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -249,24 +250,35 @@ def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``.
     """
     n = _require_int("n", n, 1)
-    rng = np.random.default_rng(seed)
+    return _shock_sampler(spec)(np.random.default_rng(seed), n)
+
+
+def _shock_sampler(spec: PolicyShockSpec):
+    """A function ``(rng, n)`` drawing ``n`` reaction strengths from ``spec``,
+    with the Beta shapes or the truncated-normal parent solved once. Each
+    draw depends only on its place in ``rng``'s stream, so draws taken in
+    blocks equal the draws of one call."""
     if spec.family == "degenerate":
-        return np.full(n, spec.target_mean)
+        return lambda rng, n: np.full(n, spec.target_mean)
     lo, hi = spec.bounds
     if spec.family == "beta_scaled":
         a, b = _beta_shape(spec.target_mean, spec.target_var, lo, hi)
-        draws = lo + (hi - lo) * rng.beta(a, b, n)
-        return np.clip(draws, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        floor, cap = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        return lambda rng, n: np.clip(lo + (hi - lo) * rng.beta(a, b, n), floor, cap)
     from scipy import special
 
     m, s = _truncnorm_parent(spec.target_mean, spec.target_var, lo, hi)
     p_lo = float(special.ndtr((lo - m) / s))
     p_hi = 1.0 if math.isinf(hi) else float(special.ndtr((hi - m) / s))
-    u = rng.random(n)
-    p = np.clip(p_lo + u * (p_hi - p_lo), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    draws = m + s * special.ndtri(p)
-    upper = hi if math.isinf(hi) else np.nextafter(hi, lo)
-    return np.clip(draws, np.nextafter(lo, math.inf), upper)
+    p_floor, p_cap = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    floor = np.nextafter(lo, math.inf)
+    cap = hi if math.isinf(hi) else np.nextafter(hi, lo)
+
+    def draw(rng, n):
+        p = np.clip(p_lo + rng.random(n) * (p_hi - p_lo), p_floor, p_cap)
+        return np.clip(m + s * special.ndtri(p), floor, cap)
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -402,6 +414,66 @@ class SimulationOutput:
     run: SimulationRun
 
 
+class _FitSums(NamedTuple):
+    """Count, means, centred sums and least-squares line of y on x of a
+    sample of (x, y) pairs, as ``kernels._window_sums`` forms them
+    (one-element arrays): enough to report the fit, and to merge with the
+    sums of another sample."""
+
+    n: int
+    xb: np.ndarray
+    yb: np.ndarray
+    sxx: np.ndarray
+    sxy: np.ndarray
+    syy: np.ndarray
+    ssr: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+
+    @classmethod
+    def of(cls, xs: np.ndarray, ys: np.ndarray) -> _FitSums:
+        n = xs.shape[0]
+        a_buf, b_buf = np.empty((1, n)), np.empty((1, n))
+        with kernels._float_range("the fit's sums"):
+            return cls(n, *kernels._window_sums(xs[None], ys[None], a_buf, b_buf))
+
+    def merge(self, other: _FitSums) -> _FitSums:
+        """The sums of both samples, by the pairwise update of Chan, Golub
+        and LeVeque (1979). The residual sum is taken about the merged line
+        as a sum of nonnegative terms, never as syy - slope * sxy; a sample
+        with sxx = 0 adds its syy (the ssr ``_window_sums`` gives it)."""
+        n = self.n + other.n
+        w = self.n * other.n / n
+        with kernels._float_range("the fit's sums"):
+            dx = other.xb - self.xb
+            dy = other.yb - self.yb
+            xb = self.xb + dx * (other.n / n)
+            yb = self.yb + dy * (other.n / n)
+            sxx = self.sxx + other.sxx + w * dx * dx
+            sxy = self.sxy + other.sxy + w * dx * dy
+            slope = kernels._slope(sxy, sxx)
+            ssr = (
+                self.ssr + other.ssr
+                + self.sxx * (self.slope - slope) ** 2
+                + other.sxx * (other.slope - slope) ** 2
+                + w * (dy - slope * dx) ** 2
+            )
+            syy = self.syy + other.syy + w * dy * dy
+            return _FitSums(n, xb, yb, sxx, sxy, syy, ssr, slope, yb - slope * xb)
+
+    def fit(self) -> tuple[float, float, float, float, float]:
+        """(intercept, slope, intercept_se, slope_se, r_squared); raises
+        InsufficientData below 3 points and ZeroVariance where the xs have
+        no spread (all equal, or sxx = 0)."""
+        if self.n < 3:
+            raise InsufficientData(f"need at least 3 observations, got {self.n}")
+        with kernels._float_range("the fit's sums"):
+            *values, flat = kernels._fit_columns(self.n, *self[1:])
+        if flat[0]:
+            raise ZeroVariance("regressor is constant; OLS line is undefined")
+        return tuple(float(v[0]) for v in values)
+
+
 def _full_ols(xs: np.ndarray, ys: np.ndarray):
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -410,16 +482,7 @@ def _full_ols(xs: np.ndarray, ys: np.ndarray):
     n = xs.shape[0]
     if n < 3:
         raise InsufficientData(f"need at least 3 observations, got {n}")
-    intercept, slope, i_se, s_se, r2, flat = kernels.rolling_ols(xs, ys, n)
-    if flat[0]:
-        raise ZeroVariance("regressor is constant; OLS line is undefined")
-    return (
-        float(intercept[0]),
-        float(slope[0]),
-        float(i_se[0]),
-        float(s_se[0]),
-        float(r2[0]),
-    )
+    return _FitSums.of(xs, ys).fit()
 
 
 def ols_mz(forecasts, outcomes) -> MzFit:
@@ -427,31 +490,122 @@ def ols_mz(forecasts, outcomes) -> MzFit:
     errors; the full-sample case of the rolling fit (same arithmetic, so the
     two agree exactly when the window spans the sample). Raises ValueError
     where the fit's sums leave the float range."""
-    intercept, slope, i_se, s_se, r2 = _full_ols(forecasts, outcomes)
-    return MzFit(MZLine(intercept=intercept, slope=slope), (i_se, s_se), r2)
+    return _mz_fit(*_full_ols(forecasts, outcomes))
 
 
-def _summarize(theta, forecast, outcome, error, run: SimulationRun) -> SimulationSummary:
-    mean_error = float(np.mean(error))
-    mse = float(np.mean(error * error))
-    try:
-        mz = ols_mz(forecast, outcome)
-    except (InsufficientData, ZeroVariance):
-        mz = None
-    try:
-        ti, ts, tise, tsse, tr2 = _full_ols(theta, error)
-        bias_fit = BiasFit(BiasLine(coef_theta=ts, coef_const=ti), (tise, tsse), tr2)
-    except (InsufficientData, ZeroVariance):
-        bias_fit = None
-    return SimulationSummary(
-        draw_count=run.draw_count,
-        mean_error=mean_error,
-        mse=mse,
-        variance_component=float(np.var(error)),
-        bias_sq_component=mean_error * mean_error,
-        mz=mz,
-        bias_fit=bias_fit,
+def _mz_fit(intercept, slope, intercept_se, slope_se, r_squared) -> MzFit:
+    return MzFit(MZLine(intercept=intercept, slope=slope), (intercept_se, slope_se), r_squared)
+
+
+class _GameSums(NamedTuple):
+    """What a block of plays adds to the summary: the sums of the MZ fit
+    (outcome on forecast) and of the bias fit (error on theta), whose y side
+    holds the error mean and centred square sum, and the sum of squared
+    errors."""
+
+    mz: _FitSums
+    bias: _FitSums
+    sq: np.ndarray
+
+    @classmethod
+    def of(cls, theta, forecast, outcome, error) -> _GameSums:
+        # summed first, under the game's guard, so an error whose square
+        # overflows is reported as the game's value, before any fit's sums
+        sq = np.sum(error * error)
+        return cls(_FitSums.of(forecast, outcome), _FitSums.of(theta, error), sq)
+
+    def merge(self, other: _GameSums) -> _GameSums:
+        with kernels._float_range("the game's values"):
+            sq = self.sq + other.sq
+        return _GameSums(self.mz.merge(other.mz), self.bias.merge(other.bias), sq)
+
+    def summary(self) -> SimulationSummary:
+        n, mean_error = self.bias.n, float(self.bias.yb[0])
+        mz = bias_fit = None
+        with contextlib.suppress(InsufficientData, ZeroVariance):
+            mz = _mz_fit(*self.mz.fit())
+        with contextlib.suppress(InsufficientData, ZeroVariance):
+            intercept, slope, i_se, s_se, r2 = self.bias.fit()
+            bias_fit = BiasFit(BiasLine(coef_theta=slope, coef_const=intercept), (i_se, s_se), r2)
+        return SimulationSummary(
+            draw_count=n,
+            mean_error=mean_error,
+            mse=float(self.sq / n),
+            variance_component=float(self.bias.syy[0] / n),
+            bias_sq_component=mean_error * mean_error,
+            mz=mz,
+            bias_fit=bias_fit,
+        )
+
+
+def _reaction(run: SimulationRun, params: ModelParams):
+    """The play of ``run``'s scenario, as a function (theta, x, eps) ->
+    (forecast, action, outcome, error), with its rule solved once."""
+    y_target = params.y_target
+    if run.scenario == "constrained_menu":
+        a0, a1 = run.menu
+        return lambda theta, x, eps: kernels.menu_play(theta, x, eps, a0, a1, y_target)
+    if run.dm_applies_assumed:  # only ever set under "conditional"
+        a0 = run.assumed_action
+
+        def applied(theta, x, eps):
+            forecast = theta + a0
+            outcome = forecast + eps
+            return forecast, np.full(theta.shape[0], float(a0)), outcome, outcome - forecast
+
+        return applied
+    # the published rule and the conjecture the DM reads it through
+    if run.scenario == "equilibrium":
+        rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
+    elif run.scenario == "conditional":
+        rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
+    else:
+        cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
+        rule = optimal_forecast(cj, params)
+    return lambda theta, x, eps: kernels.react_play(
+        theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope, y_target
     )
+
+
+def _play_blocks(
+    run: SimulationRun,
+    shock: PolicyShockSpec,
+    sn: StateNoiseSpec,
+    params: ModelParams,
+    rows: int,
+):
+    """Play ``run`` in blocks of at most ``rows`` rounds.
+
+    Checks the inputs and solves the rule and the shock's shape here, then
+    returns an iterator over the blocks: each is the tuple (theta, x,
+    forecast, action, outcome, error) of its rows and their ``_GameSums``.
+    The three streams are drawn in order across blocks, so every block size
+    gives the same rows; each block is played and summed under the
+    float-range guard.
+    """
+    _require_matching_shock(shock, params)
+    draw_x = _shock_sampler(shock)
+    # numpy raises where the play leaves the float range, rather than
+    # warning and handing on inf or nan; the fits raise their own error
+    with kernels._float_range("the game's values"):
+        react = _reaction(run, params)
+    rng_theta, rng_x, rng_eps = map(
+        np.random.default_rng, np.random.SeedSequence(run.seed).spawn(3)
+    )
+    sd_theta, sd_eps = math.sqrt(sn.theta_var), math.sqrt(sn.noise_var)
+
+    def blocks():
+        for start in range(0, run.draw_count, rows):
+            k = min(rows, run.draw_count - start)
+            theta = rng_theta.normal(sn.theta_mean, sd_theta, k)
+            x = draw_x(rng_x, k)
+            eps = rng_eps.normal(0.0, sd_eps, k)
+            with kernels._float_range("the game's values"):
+                forecast, action, outcome, error = react(theta, x, eps)
+                sums = _GameSums.of(theta, forecast, outcome, error)
+            yield (theta, x, forecast, action, outcome, error), sums
+
+    return blocks()
 
 
 def play_game(
@@ -466,55 +620,8 @@ def play_game(
     against; a mismatch would silently decouple the DM from the model being
     verified, so it is rejected.
     """
-    _require_matching_shock(shock, params)
-
-    n = run.draw_count
-    seed_theta, seed_x, seed_eps = np.random.SeedSequence(run.seed).spawn(3)
-    theta = np.random.default_rng(seed_theta).normal(
-        sn.theta_mean, math.sqrt(sn.theta_var), n
-    )
-    x = sample_policy_shock(shock, n, seed_x)
-    eps = np.random.default_rng(seed_eps).normal(0.0, math.sqrt(sn.noise_var), n)
-
-    # numpy raises where the play leaves the float range, rather than
-    # warning and handing on inf or nan; the fits raise their own error
-    with kernels._float_range("the game's values"):
-        if run.scenario == "constrained_menu":
-            a0, a1 = run.menu
-            forecast, action, outcome, error = kernels.menu_play(
-                theta, x, eps, a0, a1, params.y_target
-            )
-        elif run.dm_applies_assumed:  # only ever set under "conditional"
-            a0 = run.assumed_action
-            forecast = theta + a0
-            action = np.full(n, float(a0))
-            outcome = forecast + eps
-            error = outcome - forecast
-        else:
-            # the published rule and the conjecture the DM reads it through
-            if run.scenario == "equilibrium":
-                rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
-            elif run.scenario == "conditional":
-                rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
-            else:
-                cj = TAYLOR_RULE if run.scenario == "taylor_rule" else run.conjecture
-                rule = optimal_forecast(cj, params)
-            forecast, action, outcome, error = kernels.react_play(
-                theta, x, eps, rule.intercept, rule.slope, cj.intercept, cj.slope,
-                params.y_target,
-            )
-        summary = _summarize(theta, forecast, outcome, error, run)
-
-    return SimulationOutput(
-        theta=theta,
-        x=x,
-        forecast=forecast,
-        action=action,
-        outcome=outcome,
-        error=error,
-        summary=summary,
-        run=run,
-    )
+    ((columns, sums),) = _play_blocks(run, shock, sn, params, run.draw_count)
+    return SimulationOutput(*columns, summary=sums.summary(), run=run)
 
 
 @dataclass

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 
 import feedbackcast
+from feedbackcast import cli
 from feedbackcast.cli import (
     ENV_SEED,
     _BLOCK_ROWS,
     _apply_config_file,
     _build_parser,
+    _fit_dict,
     _fmt,
     _linspace,
     _write_table,
@@ -27,8 +31,14 @@ from feedbackcast.cli import (
 )
 from feedbackcast.errors import DegenerateEquilibrium, NoEquilibrium
 from feedbackcast.evaluate import ingest_csv, rolling_mz
-from feedbackcast.model import ModelParams, equilibrium_bias_and_mz, solve_equilibria
+from feedbackcast.model import (
+    LinearRule,
+    ModelParams,
+    equilibrium_bias_and_mz,
+    solve_equilibria,
+)
 from feedbackcast.simulate import (
+    FAMILIES,
     PolicyShockSpec,
     SimulationRun,
     StateNoiseSpec,
@@ -554,6 +564,276 @@ class TestSimulate:
         rows = (tmp_path / "menu_draws.csv").read_text().splitlines()[1:]
         actions = {row.split(",")[3] for row in rows}
         assert actions <= {"0", "0.5"}
+
+
+# each scenario's command-line flags, and the SimulationRun fields they set
+SCENARIO_SETTINGS = {
+    "conjecture_rule": (["--b", "0.3", "--c", "0.8"],
+                        dict(conjecture=LinearRule(0.3, 0.8))),
+    "equilibrium": ([], {}),
+    "taylor_rule": ([], {}),
+    "conditional": (["--a0", "0.2", "--b", "0.1", "--c", "1.2"],
+                    dict(assumed_action=0.2, conjecture=LinearRule(0.1, 1.2))),
+    "conditional_applied": (["--a0", "0.2", "--dm-applies-assumed"],
+                            dict(assumed_action=0.2, dm_applies_assumed=True)),
+    "constrained_menu": (["--menu", "-0.5", "1"], dict(menu=(-0.5, 1.0))),
+}
+
+
+def _summary_numbers(summary):
+    """(name, value, scale) of each number of a summary: the merged summary
+    must lie within 1e-12 * (|value| + scale) of the one-block one."""
+    mse = summary.mse
+    numbers = [
+        ("mean_error", summary.mean_error, math.sqrt(mse)),
+        ("mse", mse, mse),
+        ("variance_component", summary.variance_component, mse),
+        ("bias_sq_component", summary.bias_sq_component, mse),
+    ]
+    for name, fit in (("mz", summary.mz), ("bias_fit", summary.bias_fit)):
+        if fit is None:
+            numbers.append((name, None, 0.0))
+            continue
+        i_se, s_se = fit.stderrs
+        line = _fit_dict(fit)
+        numbers += [
+            (name + ".intercept", line["intercept"], i_se),
+            (name + ".slope", line["slope"], s_se),
+            (name + ".intercept_stderr", i_se, 0.0),
+            (name + ".slope_stderr", s_se, 0.0),
+            (name + ".r_squared", fit.r_squared, 1.0),
+        ]
+    return numbers
+
+
+def _json_numbers(report):
+    s = report["summary"]
+    numbers = {k: s[k] for k in ("mean_error", "mse", "variance_component", "bias_sq_component")}
+    for name in ("mz", "bias_fit"):
+        if s[name] is None:
+            numbers[name] = None
+            continue
+        for key, value in s[name].items():
+            numbers[f"{name}.{key}"] = value
+    return numbers
+
+
+class TestSimulateInBlocks:
+    """``simulate`` plays, sums and writes ``cli._PLAY_ROWS`` rows at a time;
+    these tests shrink the blocks so a small run spans several."""
+
+    ROWS = 300
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PLAY_ROWS", self.ROWS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("scenario", list(SCENARIO_SETTINGS))
+    def test_blocks_equal_one_play(self, capsys, tmp_path, scenario, family):
+        n, seed, mu = 3 * self.ROWS + 101, 11, 0.3
+        tau2 = 0.0 if family == "degenerate" else 0.08
+        flags, fields = SCENARIO_SETTINGS[scenario]
+        name = scenario.removesuffix("_applied")
+        prefix = tmp_path / "run"
+        argv = [
+            "simulate", "--scenario", name, "--family", family, "--mu", str(mu),
+            "--tau2", str(tau2), "--ytarget", "1", "--theta-mean", "0.5",
+            "--n", str(n), "--seed", str(seed), "--out-prefix", str(prefix), *flags,
+        ]
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        out = play_game(
+            SimulationRun(draw_count=n, seed=seed, scenario=name, **fields),
+            PolicyShockSpec(family=family, target_mean=mu, target_var=tau2),
+            StateNoiseSpec(theta_mean=0.5),
+            ModelParams(mu=mu, tau2=tau2, y_target=1.0),
+        )
+        cols = (out.theta, out.x, out.forecast, out.action, out.outcome, out.error)
+        _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
+        assert (tmp_path / "run_draws.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        got = _json_numbers(json.loads((tmp_path / "run_summary.json").read_text()))
+        for key, want, scale in _summary_numbers(out.summary):
+            if want is None:
+                assert got[key] is None, key
+            else:
+                assert abs(got[key] - want) <= 1e-12 * (abs(want) + scale), key
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rows.csv", "run_draws.csv", "run_summary.json",
+        ]
+
+    @pytest.mark.parametrize("theta_mean", ["0.014", "-2.5"])
+    def test_constant_regressors_across_blocks_have_no_fit(self, capsys, tmp_path, theta_mean):
+        # theta and the forecast theta + a0 are the same in every row, and
+        # so in every block
+        prefix = tmp_path / "flat"
+        argv = [
+            "simulate", "--scenario", "conditional", "--dm-applies-assumed",
+            "--a0", "0.1", "--theta-var", "0", "--theta-mean", theta_mean,
+            "--mu", "0.5", "--tau2", "0.1", "--n", str(4 * self.ROWS),
+            "--out-prefix", str(prefix),
+        ]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "flat_summary.json").read_text())["summary"]
+        assert summary["mz"] is None and summary["bias_fit"] is None
+        assert "mz_slope" not in out
+
+    def test_overflow_in_a_later_block_writes_nothing(self, capsys, tmp_path):
+        # errors of sd about 4e152: a block's squared errors sum to about
+        # 5e307, the whole run's past the float range
+        sigma2 = "1.5e305"
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=float(sigma2))
+        run = SimulationRun(
+            draw_count=2 * self.ROWS, seed=0, scenario="conditional",
+            assumed_action=0.0, dm_applies_assumed=True,
+        )
+        # the first two blocks play on their own
+        play_game(run, PolicyShockSpec("beta_scaled", 0.5, 0.1),
+                  StateNoiseSpec(noise_var=float(sigma2)), params)
+        old = tmp_path / "big_draws.csv"
+        old.write_text("an earlier run\n")
+        argv = [
+            "simulate", "--scenario", "conditional", "--dm-applies-assumed",
+            "--a0", "0", "--mu", "0.5", "--tau2", "0.1", "--sigma2", sigma2,
+            "--n", str(6 * self.ROWS), "--seed", "0", "--out-prefix", str(tmp_path / "big"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("feedbackcast: error: the game's values overflowed")
+        assert [p.name for p in tmp_path.iterdir()] == ["big_draws.csv"]
+        assert old.read_text() == "an earlier run\n"
+
+    def test_peak_memory_does_not_grow_with_the_block_count(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_PLAY_ROWS", 4096)
+        main(_simulate_argv(tmp_path / "warm", ["--n", "5000"]))  # imports, caches
+        peaks = {}
+        for blocks in (2, 8):
+            argv = _simulate_argv(tmp_path / f"b{blocks}", ["--n", str(blocks * 4096)])
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # the eight blocks' six columns alone would be 1.5 MB
+        assert peaks[8] <= 1.1 * peaks[2]
+
+
+class TestOutputFiles:
+    """Outputs reach their path only when the run succeeds, with the
+    permission bits a plain ``open(path, "w")`` gives them."""
+
+    RUNS = {
+        "simulate": (["simulate", "--scenario", "taylor_rule", "--mu", "0.5", "--tau2", "0.1",
+                      "--n", "50", "--out-prefix", "{dir}/run"], "run_draws.csv"),
+        "sweep": (["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
+                   "--steps", "3", "--out", "{dir}/sweep.csv"], "sweep.csv"),
+    }
+
+    def _argv(self, command, tmp_path):
+        argv, name = self.RUNS[command]
+        return [a.replace("{dir}", str(tmp_path)) for a in argv], tmp_path / name
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_new_file_bits_match_open(self, capsys, tmp_path, command, umask):
+        old = os.umask(umask)
+        try:
+            plain = tmp_path / "plain.txt"
+            open(plain, "w").close()
+            argv, path = self._argv(command, tmp_path)
+            assert main(argv) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_existing_file_keeps_its_bits(self, capsys, tmp_path, command):
+        argv, path = self._argv(command, tmp_path)
+        path.write_text("old\n")
+        path.chmod(0o640)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() != "old\n"
+
+    def test_symbolic_link_target_is_replaced_not_the_link(self, capsys, tmp_path):
+        target = tmp_path / "real.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
+                "--steps", "3", "--out", str(link)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert target.read_text().startswith("mu,tau2,")
+
+    def test_a_pipe_receives_the_table(self, capsys, tmp_path):
+        # a FIFO is written through, not replaced by a regular file
+        fifo = tmp_path / "table"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.3", "--steps", "7"]
+        assert main([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        _, out, _ = _run(capsys, argv)
+        assert got == [out]
+
+    def test_empty_out_means_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.3", "--steps", "4"]
+        _, want, _ = _run(capsys, argv)
+        code, out, _ = _run(capsys, [*argv, "--out", ""])
+        assert code == 0
+        assert out == want
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_sweep_leaves_the_out_file_untouched(self, capsys, tmp_path):
+        # the line at tau2 = 0.02 leaves the float range, after the row at 0
+        path = tmp_path / "sweep.csv"
+        path.write_text("an earlier table\n")
+        argv = ["sweep", "--mu", "0.98", "--tau2-min", "0.0185", "--tau2-max", "0.02",
+                "--steps", "2", "--ytarget", "1e308", "--out", str(path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert err.startswith("feedbackcast: error: intercept must be finite")
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        assert path.read_text() == "an earlier table\n"
+
+    def test_missing_directory_names_the_path_asked_for(self, capsys, tmp_path):
+        path = tmp_path / "nowhere" / "sweep.csv"
+        argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.1",
+                "--steps", "3", "--out", str(path)]
+        code, _, err = _run(capsys, argv)
+        assert code == 3
+        assert err.startswith("feedbackcast: i/o error: ")
+        assert str(path) in err and ".tmp" not in err
+
+    def test_sweep_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        peaks = {}
+        for blocks in (2, 8):
+            argv = ["sweep", "--mu", "0.5", "--tau2-min", "0", "--tau2-max", "0.3",
+                    "--steps", str(blocks * _BLOCK_ROWS), "--out", str(tmp_path / "sweep.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the whole 32,768-row table would be about 2.5 MB
+        assert peaks[8] <= 1.1 * peaks[2]
 
 
 class TestWriteTable:

@@ -251,6 +251,77 @@ class TestRollingMz:
         assert np.allclose(moved.mz_intercept, base.mz_intercept + 2.5, atol=1e-9)
 
 
+# every 3-decimal constant in [0, 5): at window 1000 the computed mean of
+# about two in three of them is not the constant itself
+THREE_DECIMAL_CONSTANTS = [k / 1000 for k in range(5000)]
+
+
+class TestConstantForecasts:
+    """A window is flat exactly when its forecasts are all equal, however its
+    mean rounds."""
+
+    @pytest.mark.parametrize("window", [3, 7, 40, 1000])
+    def test_ols_mz_rejects_every_three_decimal_constant(self, window):
+        rng = np.random.default_rng(window)
+        fitted, rounded = [], 0
+        for value in THREE_DECIMAL_CONSTANTS:
+            forecasts = np.full(window, value)
+            rounded += float(np.sum(forecasts) / window) != value
+            try:
+                ols_mz(forecasts, rng.normal(0.0, 1.0, window))
+            except ZeroVariance:
+                continue
+            fitted.append(value)
+        assert fitted == []
+        if window >= 40:
+            assert rounded > 0  # the constants a test of sxx == 0 alone fits
+
+    @pytest.mark.parametrize("window", [3, 7, 40, 1000])
+    def test_rolling_mz_flags_every_three_decimal_constant(self, window):
+        rng = np.random.default_rng(window + 1)
+        if window < 1000:
+            # one run of each constant: exactly the windows that start a run
+            # are flat
+            forecasts = np.repeat(THREE_DECIMAL_CONSTANTS, window)
+            labels = tuple(f"p{i:06d}" for i in range(forecasts.size))
+            series = ForecastSeries(labels, forecasts, rng.normal(0.0, 1.0, forecasts.size))
+            runs = len(THREE_DECIMAL_CONSTANTS)
+            with pytest.raises(ZeroVariance) as exc:
+                rolling_mz(series, window)
+            assert f"in {runs} of {forecasts.size - window + 1} windows" in str(exc.value)
+            return
+        labels = tuple(f"p{i:04d}" for i in range(window))
+        fitted = []
+        for value in THREE_DECIMAL_CONSTANTS:
+            forecasts = np.full(window, value)
+            series = ForecastSeries(labels, forecasts, rng.normal(0.0, 1.0, window))
+            try:
+                rolling_mz(series, window)
+            except ZeroVariance:
+                continue
+            fitted.append(value)
+        assert fitted == []
+
+    def test_forty_forecasts_of_0_014(self):
+        # their mean rounds away from 0.014; the fit used to report slope 76.8
+        forecasts = np.full(40, 0.014)
+        assert np.sum(forecasts) / 40 != 0.014
+        realizations = np.random.default_rng(3).normal(0.0, 1.0, 40)
+        with pytest.raises(ZeroVariance):
+            rolling_mz(_labelled(forecasts, realizations), 40)
+
+    def test_only_the_constant_windows_of_a_series_are_flat(self):
+        # runs of equal forecasts between fitted stretches; a window one unit
+        # in the last place off its neighbours is fitted, not flat
+        value = 0.014
+        forecasts = np.concatenate([
+            np.linspace(0.0, 1.0, 10), np.full(40, value), np.linspace(1.0, 2.0, 10),
+            np.full(39, value), [np.nextafter(value, 1.0)],
+        ])
+        ys = np.random.default_rng(4).normal(0.0, 1.0, forecasts.size)
+        flat = kernels.rolling_ols(forecasts, ys, 40)[5].astype(bool)
+        assert np.flatnonzero(flat).tolist() == [10]
+
 class TestMovingAverageBias:
     def test_constant_errors(self):
         n = 6

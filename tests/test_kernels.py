@@ -206,8 +206,8 @@ class TestRollingOls:
         assert peaks[1000] < 8 * 2**20
 
     def test_a_window_past_the_budget_fits_through_two_buffers(self):
-        # the one-window fit every play_game and ols_mz call makes: each work
-        # buffer holds the whole window, and there are two of them
+        # a one-window fit, as play_game and ols_mz make through the same
+        # sums: each work buffer holds the whole window, and there are two
         n = 10**6
         rng = np.random.default_rng(14)
         xs = rng.normal(0.0, 1.0, n)
