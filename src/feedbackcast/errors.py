@@ -11,7 +11,6 @@ import math
 
 __all__ = [
     "FeedbackcastError",
-    "BracketFailure",
     "DegenerateConjecture",
     "DegenerateEquilibrium",
     "InsufficientData",
@@ -57,10 +56,6 @@ class MissingMenu(FeedbackcastError):
 
 class MomentMatchInfeasible(FeedbackcastError):
     """No distribution in the requested family attains the target moments."""
-
-
-class BracketFailure(FeedbackcastError):
-    """The search bracket does not contain an interior minimum."""
 
 
 class InsufficientData(FeedbackcastError):

@@ -1,10 +1,9 @@
 """Brute-force minimizers that cross-check the closed forms.
 
-None of these reuse the optimal-forecast formula as the answer: the exact
-oracle solves the first-order condition numerically from MSE evaluations, the
-Monte Carlo oracle golden-sections a simulated objective, and the action
-oracle grid-searches the DM problem. The closed form only supplies the pilot
-point around which the stochastic search brackets.
+None of these uses the optimal-forecast formula: the exact oracle solves the
+first-order condition numerically from MSE evaluations, the Monte Carlo
+oracle minimizes a simulated objective in closed form from its sample
+moments, and the action oracle grid-searches the DM problem.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 
 from . import _numpy as np
 
+from . import kernels
 from .errors import (
-    BracketFailure,
     SingularDenominator,
     _check_conjecture,
     _require_finite,
@@ -23,7 +22,7 @@ from .errors import (
     _require_positive,
     _require_t_cost,
 )
-from .model import LinearRule, ModelParams, mse_decomposition, optimal_forecast
+from .model import LinearRule, ModelParams, mse_decomposition
 from .simulate import PolicyShockSpec, _require_matching_shock, sample_policy_shock
 
 __all__ = [
@@ -33,29 +32,22 @@ __all__ = [
     "grid_action_minimizer",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_GOLDEN_ITER = 200
-
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Knobs for the stochastic oracle.
 
-    bracket_halfwidth of None means auto: max(1, 10 * |pilot|) around the
-    pilot point, wide enough that the truth is always interior.
+    The minimizer does not read ``tolerance``; callers that compare its
+    answer with a closed form add it to their bound as slack.
     """
 
     sample_count: int = 100_000
-    bracket_halfwidth: float | None = None
     tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         count = _require_int("sample_count", self.sample_count, 10_000)
         object.__setattr__(self, "sample_count", count)
-        if self.bracket_halfwidth is not None:
-            hw = _require_positive("bracket_halfwidth", self.bracket_halfwidth)
-            object.__setattr__(self, "bracket_halfwidth", hw)
         object.__setattr__(self, "tolerance", _require_positive("tolerance", self.tolerance))
         object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
@@ -94,28 +86,6 @@ def exact_mse_minimizer(theta: float, conjecture: LinearRule, params: ModelParam
     return f
 
 
-def _golden_section(objective, lo: float, hi: float, tolerance: float) -> float:
-    """Standard golden-section descent on [lo, hi]; assumes the bracket holds
-    an interior minimum (checked by the caller)."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    for _ in range(_MAX_GOLDEN_ITER):
-        if b - a <= tolerance:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
-
-
 def mc_mse_minimizer(
     theta: float,
     conjecture: LinearRule,
@@ -124,14 +94,15 @@ def mc_mse_minimizer(
     cfg: OracleConfig,
     with_stderr: bool = False,
 ):
-    """Golden-section minimizer of the Monte-Carlo-estimated conditional MSE.
+    """Minimizer of the Monte-Carlo-estimated conditional MSE.
 
     The same (x, eps) draws score every candidate forecast (common random
-    numbers), so the estimated objective is an exact quadratic in f, scored
-    from sample moments taken once, and the search is deterministic given the
-    seed. With ``with_stderr`` the return value is ``(minimizer, stderr)``,
-    where the standard error comes from the delta method applied to the ratio
-    form of the sample minimizer.
+    numbers), so the estimated objective is an exact quadratic in f, and its
+    minimizer is a ratio of two sample moments, deterministic given the seed.
+    With ``with_stderr`` the return value is ``(minimizer, stderr)``, where
+    the standard error comes from the delta method applied to that ratio.
+    Raises SingularDenominator when the objective is flat (the reaction is a
+    point mass at -c), and ValueError when a moment leaves the float range.
     """
     _require_matching_shock(dist, params)
     b, c = _check_conjecture(conjecture)
@@ -144,37 +115,27 @@ def mc_mse_minimizer(
         0.0, math.sqrt(params.sigma2), cfg.sample_count
     )
 
-    # e_i(f) = A_i - (1 + B_i) f, so mean(e^2) = mean(A^2) - 2 f mean(u)
-    # + f^2 mean(v) with u = A(1+B) and v = (1+B)^2
-    a_i = theta + x * ((c * params.y_target + b) / c) + eps
-    w_i = 1.0 + x / c
-    u = a_i * w_i
-    v = w_i * w_i
-    a2_bar = float(np.mean(a_i * a_i))
-    u_bar = float(np.mean(u))
-    v_bar = float(np.mean(v))
-
-    def objective(f: float) -> float:
-        return a2_bar - 2.0 * f * u_bar + f * f * v_bar
-
-    pilot = optimal_forecast(conjecture, params)(theta)
-    half = cfg.bracket_halfwidth
-    if half is None:
-        half = max(1.0, 10.0 * abs(pilot))
-    lo, hi = pilot - half, pilot + half
-    if not (objective(pilot) <= objective(lo) and objective(pilot) <= objective(hi)):
-        raise BracketFailure(
-            f"bracket [{lo:.6g}, {hi:.6g}] does not contain the sample minimum"
-        )
-    f_hat = _golden_section(objective, lo, hi, cfg.tolerance)
-    if not with_stderr:
-        return f_hat
-
-    # the sample minimizer is u_bar / v_bar; the delta method gives its stderr
-    ratio = u_bar / v_bar
-    resid = u - ratio * v
-    stderr = float(np.std(resid, ddof=1)) / (v_bar * math.sqrt(len(u)))
-    return f_hat, stderr
+    with kernels._float_range("the oracle's sample moments"):
+        # numpy scalars, so the conjecture's own arithmetic is guarded too
+        b, c = np.float64(b), np.float64(c)
+        # e_i(f) = A_i - (1 + B_i) f, so mean(e^2) = mean(A^2) - 2 f mean(u)
+        # + f^2 mean(v) with u = A(1+B) and v = (1+B)^2, least at mean(u) / mean(v)
+        a_i = theta + x * ((c * params.y_target + b) / c) + eps
+        w_i = 1.0 + x / c
+        u = a_i * w_i
+        v = w_i * w_i
+        u_bar = np.mean(u)
+        v_bar = np.mean(v)
+        if v_bar == 0.0:
+            raise SingularDenominator(
+                "the reaction is a point mass at -c; the forecast objective is flat"
+            )
+        f_hat = u_bar / v_bar
+        if not with_stderr:
+            return float(f_hat)
+        resid = u - f_hat * v
+        stderr = np.std(resid, ddof=1) / (v_bar * math.sqrt(len(u)))
+    return float(f_hat), float(stderr)
 
 
 def grid_action_minimizer(

@@ -631,7 +631,7 @@ class BestResponseTrace:
     start: LinearRule
     rules: list[LinearRule]
     residuals: list[float]
-    status: str  # "fixed_point" | "zero_slope" | "max_iter"
+    status: str  # "fixed_point" | "zero_slope" | "diverged" | "max_iter"
 
     @property
     def converged(self) -> bool:
@@ -649,8 +649,9 @@ def best_response_iteration(
     Diagnostic only: convergence toward the first self-confirming rule is an
     empirical observation, not a guarantee. Stops at a fixed point (sup-norm
     residual below ``tol``, which must be positive and finite), at a
-    zero-slope iterate (the next application would be undefined), or after
-    ``max_iter`` steps.
+    zero-slope iterate (the next application would be undefined), before an
+    iterate past the float range ("diverged"; the trace keeps the finite
+    ones), or after ``max_iter`` steps.
     """
     max_iter = _require_int("max_iter", max_iter, 1)
     tol = _require_positive("tol", tol)
@@ -659,7 +660,11 @@ def best_response_iteration(
     status = "max_iter"
     current = start
     for _ in range(max_iter):
-        nxt = optimal_forecast(current, params)
+        try:
+            nxt = optimal_forecast(current, params)
+        except ValueError:  # LinearRule rejects a coefficient past the float range
+            status = "diverged"
+            break
         resid = max(
             abs(nxt.intercept - current.intercept), abs(nxt.slope - current.slope)
         )

@@ -1,15 +1,12 @@
 """Brute-force minimizers against the closed forms they exist to check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from feedbackcast.errors import (
-    BracketFailure,
-    DegenerateConjecture,
-    SingularDenominator,
-)
+from feedbackcast.errors import DegenerateConjecture, SingularDenominator
 from feedbackcast.model import (
     TAYLOR_RULE,
     LinearRule,
@@ -23,7 +20,7 @@ from feedbackcast.oracle import (
     grid_action_minimizer,
     mc_mse_minimizer,
 )
-from feedbackcast.simulate import PolicyShockSpec
+from feedbackcast.simulate import PolicyShockSpec, sample_policy_shock
 
 
 def _random_setup(rng):
@@ -50,9 +47,6 @@ class TestOracleConfig:
         [
             dict(sample_count=9_999),
             dict(sample_count=10_000.5),
-            dict(bracket_halfwidth=0.0),
-            dict(bracket_halfwidth=-1.0),
-            dict(bracket_halfwidth=math.inf),
             dict(tolerance=0.0),
             dict(seed=-1),
         ],
@@ -64,7 +58,6 @@ class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
         assert cfg.sample_count == 100_000
-        assert cfg.bracket_halfwidth is None
         assert cfg.tolerance == 1e-6
         assert cfg.seed == 0
 
@@ -151,8 +144,7 @@ class TestMcMinimizer:
         # reference objective: the per-draw squared error of the structural
         # equation, averaged over the oracle's own seeded draws
         rng = np.random.default_rng(31)
-        from feedbackcast.simulate import sample_policy_shock
-
+        checked = 0
         for seed in (0, 1, 2):
             theta, conjecture, params = _random_setup(rng)
             hi = 2.0 * params.mu + 1.0
@@ -177,14 +169,61 @@ class TestMcMinimizer:
                 best = float(grid[np.argmin([mse(f) for f in grid])])
             f_hat = mc_mse_minimizer(theta, conjecture, params, dist, cfg)
             assert abs(f_hat - best) <= cfg.tolerance
+            # that objective is mean(A^2) - 2 f mean(u) + f^2 mean(v), least
+            # at mean(u) / mean(v), which the oracle returns exactly
+            a_i = theta + x * ((c * params.y_target + b) / c) + eps
+            w_i = 1.0 + x / c
+            assert f_hat == float(np.mean(a_i * w_i)) / float(np.mean(w_i * w_i))
+            checked += 1
+        assert checked >= 2
 
-    def test_bracket_failure_when_halfwidth_is_too_tight(self):
-        # the sample minimizer sits O(1/sqrt(n)) away from the pilot, far
-        # outside a 1e-9 bracket
+    def test_does_not_use_the_closed_form_it_checks(self, monkeypatch):
+        import feedbackcast.model
+        import feedbackcast.oracle
+
+        def refuse(*args):
+            raise AssertionError("the oracle called optimal_forecast")
+
+        monkeypatch.setattr(feedbackcast.model, "optimal_forecast", refuse)
+        # nor does it hold a copy bound at import, which the patch would miss
+        assert not hasattr(feedbackcast.oracle, "optimal_forecast")
         params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=1.0)
-        cfg = OracleConfig(sample_count=10_000, bracket_halfwidth=1e-9, seed=4)
-        with pytest.raises(BracketFailure):
-            mc_mse_minimizer(2.0, TAYLOR_RULE, params, _beta_dist(params), cfg)
+        cfg = OracleConfig(sample_count=10_000, seed=4)
+        f_hat, stderr = mc_mse_minimizer(
+            2.0, TAYLOR_RULE, params, _beta_dist(params), cfg, with_stderr=True
+        )
+        assert math.isfinite(f_hat) and stderr > 0.0
+
+    def test_flat_objective_rejected(self):
+        # the reaction is a point mass at mu = -c, so every forecast scores alike
+        params = ModelParams(mu=0.5, tau2=0.0)
+        dist = PolicyShockSpec(family="degenerate", target_mean=0.5, target_var=0.0)
+        cfg = OracleConfig(sample_count=10_000)
+        with pytest.raises(SingularDenominator):
+            mc_mse_minimizer(1.0, LinearRule(0.0, -0.5), params, dist, cfg)
+
+    def test_state_near_the_float_range(self):
+        # at theta 1e160 the minimizer's moments are finite but the squared
+        # residuals of its stderr are not; the state dominates both answers,
+        # so the stderr at 1e150 times 1e10 stands in for the one at 1e160
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=1.0)
+        args = (TAYLOR_RULE, params, _beta_dist(params), OracleConfig(sample_count=10_000))
+        _, stderr = mc_mse_minimizer(1e150, *args, with_stderr=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_hat = mc_mse_minimizer(1e160, *args)
+            with pytest.raises(ValueError, match="float range"):
+                mc_mse_minimizer(1e160, *args, with_stderr=True)
+        expected = optimal_forecast(TAYLOR_RULE, params)(1e160)
+        assert abs(f_hat - expected) <= 3.0 * stderr * 1e10
+
+    @pytest.mark.parametrize("conjecture", [LinearRule(0.0, 1e10), LinearRule(1e300, 1e-10)])
+    def test_conjecture_arithmetic_past_the_float_range_is_rejected(self, conjecture):
+        # (c * y_target + b) / c overflows in scalar arithmetic, before any array
+        params = ModelParams(mu=0.5, tau2=0.1, y_target=1e300)
+        cfg = OracleConfig(sample_count=10_000)
+        with pytest.raises(ValueError, match="float range"):
+            mc_mse_minimizer(1.0, conjecture, params, _beta_dist(params), cfg)
 
     def test_distribution_must_match_params(self):
         params = ModelParams(mu=0.5, tau2=0.1)

@@ -425,6 +425,18 @@ class TestBestResponse:
         assert trace.rules[-1].slope == 0.0
         assert not trace.converged
 
+    def test_divergence_from_near_root_2_keeps_the_trace(self):
+        # root 2's intercept is multiplied by k > 1 each step, so a nudged
+        # start grows until an iterate leaves the float range
+        params = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
+        root = solve_equilibria(params).rule(2)
+        start = LinearRule(root.intercept + 1e-3, root.slope)
+        trace = best_response_iteration(start, params, max_iter=100_000)
+        assert trace.status == "diverged"
+        assert not trace.converged
+        assert len(trace.rules) == len(trace.residuals) > 1
+        assert all(math.isfinite(r.intercept) and math.isfinite(r.slope) for r in trace.rules)
+
     def test_max_iter_validation(self):
         with pytest.raises(ValueError):
             best_response_iteration(LinearRule(0.0, 1.0), ModelParams(mu=0.5, tau2=0.1), max_iter=0)

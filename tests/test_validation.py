@@ -93,7 +93,6 @@ FLOAT_ARGS = [
     ("assumed_action", lambda v: _run(scenario="conditional", assumed_action=v,
                                       dm_applies_assumed=True)),
     ("menu[1]", lambda v: _menu_run((0.0, v))),
-    ("bracket_halfwidth", lambda v: OracleConfig(bracket_halfwidth=v)),
     ("tolerance", lambda v: OracleConfig(tolerance=v)),
     ("x", lambda v: dm_optimal_action(v, 0.0, P)),
     ("expected_state", lambda v: dm_optimal_action(0.5, v, P)),
@@ -117,7 +116,6 @@ POSITIVE_ARGS = [
     ("x", lambda v: dm_optimal_action(v, 0.0, P)),
     ("target_mean", lambda v: PolicyShockSpec("beta_scaled", v, 0.1)),
     ("noise_var", lambda v: StateNoiseSpec(noise_var=v)),
-    ("bracket_halfwidth", lambda v: OracleConfig(bracket_halfwidth=v)),
     ("tolerance", lambda v: OracleConfig(tolerance=v)),
     ("tol", lambda v: best_response_iteration(TAYLOR_RULE, P, tol=v)),
 ]
