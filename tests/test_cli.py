@@ -1355,6 +1355,13 @@ class TestImport:
         for name in feedbackcast.__all__:
             assert hasattr(feedbackcast, name), name
 
+    def test_bracket_failure_is_gone(self):
+        import feedbackcast.errors
+
+        assert "BracketFailure" not in feedbackcast.__all__
+        assert not hasattr(feedbackcast, "BracketFailure")
+        assert not hasattr(feedbackcast.errors, "BracketFailure")
+
     def test_cli_import_loads_every_layer_but_not_numpy(self):
         # the layers are loaded before main runs, so code that wraps their
         # functions at that point (a profiler, a span recorder) sees them all

@@ -49,6 +49,9 @@ class TestOracleConfig:
             dict(sample_count=10_000.5),
             dict(tolerance=0.0),
             dict(seed=-1),
+            dict(tolerance=-1.0),
+            dict(tolerance=math.inf),
+            dict(seed=2.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -60,6 +63,11 @@ class TestOracleConfig:
         assert cfg.sample_count == 100_000
         assert cfg.tolerance == 1e-6
         assert cfg.seed == 0
+
+    def test_bracket_halfwidth_is_no_longer_a_knob(self):
+        # the exact minimizer has no bracket; the old keyword fails loudly
+        with pytest.raises(TypeError, match="bracket_halfwidth"):
+            OracleConfig(bracket_halfwidth=1.0)
 
 
 class TestExactMinimizer:
@@ -193,6 +201,17 @@ class TestMcMinimizer:
             2.0, TAYLOR_RULE, params, _beta_dist(params), cfg, with_stderr=True
         )
         assert math.isfinite(f_hat) and stderr > 0.0
+
+    def test_stderr_does_not_move_the_minimizer(self):
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=1.0)
+        dist = _beta_dist(params)
+        for seed in (0, 5):
+            cfg = OracleConfig(sample_count=10_000, seed=seed)
+            f_hat = mc_mse_minimizer(2.0, TAYLOR_RULE, params, dist, cfg)
+            pair = mc_mse_minimizer(2.0, TAYLOR_RULE, params, dist, cfg, with_stderr=True)
+            assert pair[0] == f_hat
+            # deterministic given the seed
+            assert mc_mse_minimizer(2.0, TAYLOR_RULE, params, dist, cfg) == f_hat
 
     def test_flat_objective_rejected(self):
         # the reaction is a point mass at mu = -c, so every forecast scores alike
