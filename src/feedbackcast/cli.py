@@ -53,6 +53,7 @@ from .simulate import (
     PolicyShockSpec,
     SimulationRun,
     StateNoiseSpec,
+    _PLAY_ROWS,
     _play_blocks,
     ols_mz,
 )
@@ -65,8 +66,6 @@ def _fmt(value: float) -> str:
 
 
 _BLOCK_ROWS = 4096
-# rows of the game played, summed and written at a time by ``simulate``
-_PLAY_ROWS = 1 << 16
 
 
 def _write_table(handle, header: str, labels: int, cols) -> None:
@@ -383,7 +382,7 @@ def cmd_simulate(ns) -> int:
         dm_applies_assumed=ns.dm_applies_assumed,
         menu=ns.menu,
     )
-    blocks = _play_blocks(run, shock, state, params, _PLAY_ROWS)
+    blocks = _play_blocks(run, shock, state, params)
     # glibc's malloc raises its mmap and heap-trim thresholds to the size of
     # the largest mmapped block freed (up to 32 MB). Freeing an 8 MB one here
     # keeps each block's arrays and the writer's temporaries on a heap that
@@ -394,7 +393,12 @@ def cmd_simulate(ns) -> int:
 
     draws_path = f"{ns.out_prefix}_draws.csv"
     summary_path = f"{ns.out_prefix}_summary.json"
-    with _output(draws_path) as draws, _output(summary_path) as handle:
+    # a failure in a later block closes the player, which joins its helper
+    with (
+        contextlib.closing(blocks),
+        _output(draws_path) as draws,
+        _output(summary_path) as handle,
+    ):
         draws.write("theta,x,forecast,action,outcome,error\n")
         total = None
         for columns, sums in blocks:

@@ -61,28 +61,37 @@ def exact_mse_minimizer(theta: float, conjecture: LinearRule, params: ModelParam
     """Minimize the exact conditional MSE in f by solving its linear FOC
     numerically.
 
-    The objective is quadratic, so three evaluations pin down the vertex; two
-    Newton re-centerings (central differences with unit step are exact for
+    The objective is quadratic, so three evaluations pin down the vertex;
+    three Newton re-centerings (central differences are exact for
     quadratics) then remove the cancellation error the first fit picks up
-    when the curvature is small.
+    when the curvature is small. The step is 1 + |theta|, the scale of the
+    minimizer, so the differences of MSE values of size theta**2 keep their
+    digits at any theta. Raises ValueError naming ``theta`` when the MSE
+    leaves the float range.
     """
-    m_lo = _mse_total(-1.0, theta, conjecture, params)
-    m_mid = _mse_total(0.0, theta, conjecture, params)
-    m_hi = _mse_total(1.0, theta, conjecture, params)
-    curv = m_hi + m_lo - 2.0 * m_mid
+    theta = _require_finite("theta", theta)
+    h = 1.0 + abs(theta)
+
+    def at(f):
+        lo, mid, hi = (_mse_total(f + d, theta, conjecture, params) for d in (-h, 0.0, h))
+        curv = hi + lo - 2.0 * mid
+        if not math.isfinite(curv):
+            raise ValueError(
+                f"theta {theta!r} puts the conditional MSE past the float range"
+            )
+        return lo, hi, curv
+
+    lo, hi, curv = at(0.0)
     if curv <= 0.0:
         raise SingularDenominator(
             "conditional MSE is not strictly convex in the forecast"
         )
-    f = (m_lo - m_hi) / (2.0 * curv)
-    for _ in range(2):
-        hi = _mse_total(f + 1.0, theta, conjecture, params)
-        lo = _mse_total(f - 1.0, theta, conjecture, params)
-        mid = _mse_total(f, theta, conjecture, params)
-        curv = hi + lo - 2.0 * mid
+    f = 0.5 * (lo - hi) / curv * h
+    for _ in range(3):
+        lo, hi, curv = at(f)
         if curv <= 0.0:
             break
-        f = f - (hi - lo) / (2.0 * curv)
+        f -= 0.5 * (hi - lo) / curv * h
     return f
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -85,11 +86,10 @@ class PolicyShockSpec:
     families, as the game requires.
 
     Feasibility is checked here, so an infeasible pair never reaches
-    sampling: beta_scaled asks the Beta shape solver that sampling uses
-    (after rescaling the support to (0, 1), the variance must stay below
-    m(1 - m)); truncated_normal needs target_var < (mean-lo)(hi-mean), or
-    target_var < (mean-lo)**2 (the coefficient-of-variation limit) when hi
-    is infinite.
+    sampling: each family asks the solver that sampling uses, the Beta shape
+    solver for beta_scaled (after rescaling the support to (0, 1), the
+    variance must stay below m(1 - m)) and the parent search for
+    truncated_normal (cached, so sampling does not search again).
     """
 
     family: str
@@ -126,15 +126,7 @@ class PolicyShockSpec:
         if self.family == "beta_scaled":
             _beta_shape(self.target_mean, tv, lo, hi)
         elif self.family == "truncated_normal":
-            # Bhatia-Davis bound on any distribution over (lo, hi); for the
-            # half-line it degenerates to the CV < 1 limit.
-            above = self.target_mean - lo
-            cap = above * (hi - self.target_mean) if math.isfinite(hi) else above * above
-            if tv >= cap:
-                raise MomentMatchInfeasible(
-                    f"target_var {tv} not attainable on ({lo}, {hi}) "
-                    f"with mean {self.target_mean} (bound {cap:.6g})"
-                )
+            _truncnorm_parent(self.target_mean, tv, lo, hi)
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -202,7 +194,22 @@ def _truncnorm_moments(m: float, s: float, lo: float, hi: float) -> tuple[float,
 def _truncnorm_parent(
     mean: float, var: float, lo: float, hi: float
 ) -> tuple[float, float]:
-    """Parent (m, s) of the truncated normal matching (mean, var) on [lo, hi)."""
+    """Parent (m, s) of the truncated normal matching (mean, var) on [lo, hi).
+
+    The one feasibility verdict for truncated_normal, used by
+    ``PolicyShockSpec`` and by sampling alike. A pair at or past the
+    Bhatia-Davis bound (mean - lo)(hi - mean), which no distribution on
+    (lo, hi) reaches (on the half-line, the CV < 1 limit (mean - lo)**2), is
+    rejected before the search, whose tolerance is absolute above scale 1
+    and could otherwise accept a far-off match there.
+    """
+    above = mean - lo
+    cap = above * (hi - mean) if math.isfinite(hi) else above * above
+    if var >= cap:
+        raise MomentMatchInfeasible(
+            f"target_var {var} not attainable on ({lo}, {hi}) "
+            f"with mean {mean} (bound {cap:.6g})"
+        )
     from scipy import optimize
 
     sd = math.sqrt(var)
@@ -250,21 +257,35 @@ def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``.
     """
     n = _require_int("n", n, 1)
-    return _shock_sampler(spec)(np.random.default_rng(seed), n)
+    return _shock_sampler(spec)(np.random.default_rng(seed), np.empty(n))
 
 
 def _shock_sampler(spec: PolicyShockSpec):
-    """A function ``(rng, n)`` drawing ``n`` reaction strengths from ``spec``,
-    with the Beta shapes or the truncated-normal parent solved once. Each
-    draw depends only on its place in ``rng``'s stream, so draws taken in
-    blocks equal the draws of one call."""
+    """A function ``(rng, out)`` filling the array ``out`` with reaction
+    strengths drawn from ``spec`` and returning it, with the Beta shapes or
+    the truncated-normal parent solved once. Each draw depends only on its
+    place in ``rng``'s stream, so draws taken in blocks equal the draws of
+    one call. The draws are scaled in ``out``, with the operations of
+    ``lo + (hi - lo) * u`` in the same order, so they round alike without
+    the temporaries."""
     if spec.family == "degenerate":
-        return lambda rng, n: np.full(n, spec.target_mean)
+
+        def fill(rng, out):
+            out.fill(spec.target_mean)
+            return out
+
+        return fill
     lo, hi = spec.bounds
     if spec.family == "beta_scaled":
         a, b = _beta_shape(spec.target_mean, spec.target_var, lo, hi)
         floor, cap = np.nextafter(lo, hi), np.nextafter(hi, lo)
-        return lambda rng, n: np.clip(lo + (hi - lo) * rng.beta(a, b, n), floor, cap)
+
+        def draw_beta(rng, out):
+            np.multiply(rng.beta(a, b, out.shape[0]), hi - lo, out=out)
+            out += lo
+            return np.clip(out, floor, cap, out=out)
+
+        return draw_beta
     from scipy import special
 
     m, s = _truncnorm_parent(spec.target_mean, spec.target_var, lo, hi)
@@ -274,9 +295,15 @@ def _shock_sampler(spec: PolicyShockSpec):
     floor = np.nextafter(lo, math.inf)
     cap = hi if math.isinf(hi) else np.nextafter(hi, lo)
 
-    def draw(rng, n):
-        p = np.clip(p_lo + rng.random(n) * (p_hi - p_lo), p_floor, p_cap)
-        return np.clip(m + s * special.ndtri(p), floor, cap)
+    def draw(rng, out):
+        p = rng.random(out=out)
+        p *= p_hi - p_lo
+        p += p_lo
+        np.clip(p, p_floor, p_cap, out=p)
+        x = special.ndtri(p, out=p)
+        x *= s
+        x += m
+        return np.clip(x, floor, cap, out=x)
 
     return draw
 
@@ -567,14 +594,56 @@ def _reaction(run: SimulationRun, params: ModelParams):
     )
 
 
+# rows of the game played and summed at a time, by ``play_game`` and by the
+# ``simulate`` command, which also writes them a block at a time
+_PLAY_ROWS = 1 << 16
+
+
+def _fill_normal(rng, sd, out):
+    """``rng.normal(0.0, sd, len(out))``, drawn into ``out``: the same
+    standard normals, scaled as ``normal`` forms 0 + sd * z."""
+    rng.standard_normal(out=out)
+    out *= sd
+    out += 0.0
+    return out
+
+
+class _DrawAhead:
+    """``draw(*args)`` on a helper thread, started here under the calling
+    thread's numpy error state (a new thread starts from numpy's defaults);
+    ``result`` joins it and returns the draw, or raises the helper's error."""
+
+    def __init__(self, draw, *args):
+        self._value = self._error = None
+        state = np.geterr()
+
+        def run():
+            try:
+                with np.errstate(**state):
+                    self._value = draw(*args)
+            except BaseException as exc:  # raised again in the calling thread
+                self._error = exc
+
+        self._thread = threading.Thread(target=run)
+        self._thread.start()
+
+    def join(self):
+        self._thread.join()
+
+    def result(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _play_blocks(
     run: SimulationRun,
     shock: PolicyShockSpec,
     sn: StateNoiseSpec,
     params: ModelParams,
-    rows: int,
 ):
-    """Play ``run`` in blocks of at most ``rows`` rounds.
+    """Play ``run`` in blocks of at most ``_PLAY_ROWS`` rounds.
 
     Checks the inputs and solves the rule and the shock's shape here, then
     returns an iterator over the blocks: each is the tuple (theta, x,
@@ -582,6 +651,13 @@ def _play_blocks(
     The three streams are drawn in order across blocks, so every block size
     gives the same rows; each block is played and summed under the
     float-range guard.
+
+    With more than one block and more than one usable CPU, one helper thread
+    draws the next block's x and eps while the calling thread draws theta
+    and plays and sums the block before it. Each stream is drawn by one
+    thread at a time, in block order, so the rows do not depend on the
+    helper. An error in the helper is raised here unless the calling thread
+    raised its own; closing the iterator early joins its helper first.
     """
     _require_matching_shock(shock, params)
     draw_x = _shock_sampler(shock)
@@ -593,17 +669,38 @@ def _play_blocks(
         np.random.default_rng, np.random.SeedSequence(run.seed).spawn(3)
     )
     sd_theta, sd_eps = math.sqrt(sn.theta_var), math.sqrt(sn.noise_var)
+    n = run.draw_count
+    sizes = [min(_PLAY_ROWS, n - start) for start in range(0, n, _PLAY_ROWS)]
+    ahead = len(sizes) > 1 and kernels._usable_cpus() > 1
+
+    def draw_rest(x, eps):
+        # the helper's work when there is one: only the sampler closure and
+        # the generators
+        return draw_x(rng_x, x), _fill_normal(rng_eps, sd_eps, eps)
+
+    def ahead_of(k):
+        # the arrays come from the calling thread, so the helper's own
+        # allocator arena keeps no block resident
+        return _DrawAhead(draw_rest, np.empty(k), np.empty(k))
 
     def blocks():
-        for start in range(0, run.draw_count, rows):
-            k = min(rows, run.draw_count - start)
-            theta = rng_theta.normal(sn.theta_mean, sd_theta, k)
-            x = draw_x(rng_x, k)
-            eps = rng_eps.normal(0.0, sd_eps, k)
-            with kernels._float_range("the game's values"):
-                forecast, action, outcome, error = react(theta, x, eps)
-                sums = _GameSums.of(theta, forecast, outcome, error)
-            yield (theta, x, forecast, action, outcome, error), sums
+        pending = ahead_of(sizes[0]) if ahead else None
+        try:
+            for i, k in enumerate(sizes):
+                theta = rng_theta.normal(sn.theta_mean, sd_theta, k)
+                if pending is None:
+                    x, eps = draw_rest(np.empty(k), np.empty(k))
+                else:
+                    x, eps = pending.result()
+                    if i + 1 < len(sizes):
+                        pending = ahead_of(sizes[i + 1])
+                with kernels._float_range("the game's values"):
+                    forecast, action, outcome, error = react(theta, x, eps)
+                    sums = _GameSums.of(theta, forecast, outcome, error)
+                yield (theta, x, forecast, action, outcome, error), sums
+        finally:
+            if pending is not None:
+                pending.join()
 
     return blocks()
 
@@ -619,9 +716,22 @@ def play_game(
     The shock spec must target the same (mu, tau2) the forecaster optimizes
     against; a mismatch would silently decouple the DM from the model being
     verified, so it is rejected.
+
+    The rounds are played in ``_PLAY_ROWS``-row blocks, as ``simulate``
+    plays them, into six record arrays allocated once, and the summary
+    merges the blocks' sums as ``simulate`` does, so the two agree bit for
+    bit at every ``draw_count``.
     """
-    ((columns, sums),) = _play_blocks(run, shock, sn, params, run.draw_count)
-    return SimulationOutput(*columns, summary=sums.summary(), run=run)
+    records = tuple(np.empty(run.draw_count) for _ in range(6))
+    total, start = None, 0
+    with contextlib.closing(_play_blocks(run, shock, sn, params)) as blocks:
+        for columns, sums in blocks:
+            stop = start + columns[0].shape[0]
+            for record, column in zip(records, columns):
+                record[start:stop] = column
+            start = stop
+            total = sums if total is None else total.merge(sums)
+    return SimulationOutput(*records, summary=total.summary(), run=run)
 
 
 @dataclass
@@ -631,11 +741,24 @@ class BestResponseTrace:
     start: LinearRule
     rules: list[LinearRule]
     residuals: list[float]
-    status: str  # "fixed_point" | "zero_slope" | "diverged" | "max_iter"
+    # "fixed_point" | "attenuated" | "zero_slope" | "diverged" | "max_iter"
+    status: str
 
     @property
     def converged(self) -> bool:
         return self.status == "fixed_point"
+
+
+def _listed_root(rule: LinearRule, params: ModelParams, tol: float) -> bool:
+    """Whether ``rule`` is, within sqrt(tol) relative, a self-confirming
+    rule that ``solve_equilibria`` lists."""
+    eps = math.sqrt(tol)
+    return any(
+        root is not None
+        and math.isclose(rule.intercept, root.intercept, rel_tol=eps, abs_tol=eps)
+        and math.isclose(rule.slope, root.slope, rel_tol=eps, abs_tol=eps)
+        for root in solve_equilibria(params).rules
+    )
 
 
 def best_response_iteration(
@@ -647,11 +770,16 @@ def best_response_iteration(
     """Repeatedly apply the optimal-forecast map and record the iterates.
 
     Diagnostic only: convergence toward the first self-confirming rule is an
-    empirical observation, not a guarantee. Stops at a fixed point (sup-norm
-    residual below ``tol``, which must be positive and finite), at a
+    empirical observation, not a guarantee. Stops where a step moves the
+    rule by less than ``tol`` (sup norm; ``tol`` must be positive and
+    finite): at a "fixed_point" when the rule is one ``solve_equilibria``
+    lists (within sqrt(tol) relative), and otherwise "attenuated", the flat
+    limit the slope shrinks to (slope near zero, the intercept where the
+    path left it), which no self-confirming rule matches. Also stops at a
     zero-slope iterate (the next application would be undefined), before an
     iterate past the float range ("diverged"; the trace keeps the finite
-    ones), or after ``max_iter`` steps.
+    ones), or after ``max_iter`` steps. Only "fixed_point" counts as
+    converged.
     """
     max_iter = _require_int("max_iter", max_iter, 1)
     tol = _require_positive("tol", tol)
@@ -671,7 +799,7 @@ def best_response_iteration(
         rules.append(nxt)
         residuals.append(resid)
         if resid < tol:
-            status = "fixed_point"
+            status = "fixed_point" if _listed_root(nxt, params, tol) else "attenuated"
             break
         if nxt.slope == 0.0:
             status = "zero_slope"

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import feedbackcast
-from feedbackcast import cli
+from feedbackcast import kernels, simulate
 from feedbackcast.cli import (
     ENV_SEED,
     _BLOCK_ROWS,
@@ -581,8 +582,8 @@ SCENARIO_SETTINGS = {
 
 
 def _summary_numbers(summary):
-    """(name, value, scale) of each number of a summary: the merged summary
-    must lie within 1e-12 * (|value| + scale) of the one-block one."""
+    """(name, value, scale) of each number of a summary: a merged summary
+    must lie within 1e-12 * (|value| + scale) of a one-block fit."""
     mse = summary.mse
     numbers = [
         ("mean_error", summary.mean_error, math.sqrt(mse)),
@@ -619,14 +620,17 @@ def _json_numbers(report):
 
 
 class TestSimulateInBlocks:
-    """``simulate`` plays, sums and writes ``cli._PLAY_ROWS`` rows at a time;
-    these tests shrink the blocks so a small run spans several."""
+    """``simulate`` plays, sums and writes ``simulate._PLAY_ROWS`` rows at a
+    time, and ``play_game`` plays the same blocks; these tests shrink the
+    blocks so a small run spans several, and let the next block be drawn on
+    a helper thread even on one CPU."""
 
     ROWS = 300
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(cli, "_PLAY_ROWS", self.ROWS)
+        monkeypatch.setattr(simulate, "_PLAY_ROWS", self.ROWS)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("scenario", list(SCENARIO_SETTINGS))
@@ -653,14 +657,31 @@ class TestSimulateInBlocks:
         _write_rows(tmp_path / "rows.csv", DRAWS_HEADER, cols)
         assert (tmp_path / "run_draws.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         got = _json_numbers(json.loads((tmp_path / "run_summary.json").read_text()))
-        for key, want, scale in _summary_numbers(out.summary):
+        for key, want, _ in _summary_numbers(out.summary):
+            assert got[key] == want, key
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rows.csv", "run_draws.csv", "run_summary.json",
+        ]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("scenario", list(SCENARIO_SETTINGS))
+    def test_merged_summary_is_near_a_one_block_fit(self, scenario, family):
+        n, mu = 3 * self.ROWS + 101, 0.3
+        tau2 = 0.0 if family == "degenerate" else 0.08
+        name = scenario.removesuffix("_applied")
+        out = play_game(
+            SimulationRun(draw_count=n, seed=11, scenario=name, **SCENARIO_SETTINGS[scenario][1]),
+            PolicyShockSpec(family=family, target_mean=mu, target_var=tau2),
+            StateNoiseSpec(theta_mean=0.5),
+            ModelParams(mu=mu, tau2=tau2, y_target=1.0),
+        )
+        one = simulate._GameSums.of(out.theta, out.forecast, out.outcome, out.error).summary()
+        got = {key: value for key, value, _ in _summary_numbers(out.summary)}
+        for key, want, scale in _summary_numbers(one):
             if want is None:
                 assert got[key] is None, key
             else:
                 assert abs(got[key] - want) <= 1e-12 * (abs(want) + scale), key
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "rows.csv", "run_draws.csv", "run_summary.json",
-        ]
 
     @pytest.mark.parametrize("theta_mean", ["0.014", "-2.5"])
     def test_constant_regressors_across_blocks_have_no_fit(self, capsys, tmp_path, theta_mean):
@@ -708,8 +729,36 @@ class TestSimulateInBlocks:
         assert [p.name for p in tmp_path.iterdir()] == ["big_draws.csv"]
         assert old.read_text() == "an earlier run\n"
 
+    def test_failure_in_a_later_block_leaves_no_helper_running(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the run's squared errors overflow when block sums merge, in the
+        # command's loop, while the helper, slowed down here, draws the next
+        # block
+        sampler = simulate._shock_sampler
+
+        def slow_sampler(spec):
+            draw = sampler(spec)
+
+            def slow_draw(rng, out):
+                time.sleep(0.05)
+                return draw(rng, out)
+
+            return slow_draw
+
+        monkeypatch.setattr(simulate, "_shock_sampler", slow_sampler)
+        threads = threading.active_count()
+        argv = [
+            "simulate", "--scenario", "conditional", "--dm-applies-assumed",
+            "--a0", "0", "--mu", "0.5", "--tau2", "0.1", "--sigma2", "1.5e305",
+            "--n", str(6 * self.ROWS), "--seed", "0", "--out-prefix", str(tmp_path / "big"),
+        ]
+        code, _, err = _run(capsys, argv)
+        assert code == 1, err
+        assert threading.active_count() == threads
+
     def test_peak_memory_does_not_grow_with_the_block_count(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_PLAY_ROWS", 4096)
+        monkeypatch.setattr(simulate, "_PLAY_ROWS", 4096)
         main(_simulate_argv(tmp_path / "warm", ["--n", "5000"]))  # imports, caches
         peaks = {}
         for blocks in (2, 8):

@@ -1,6 +1,7 @@
 """Brute-force minimizers against the closed forms they exist to check."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -92,6 +93,24 @@ class TestExactMinimizer:
         params = ModelParams(mu=0.5, tau2=1e6, y_target=3.0)
         got = exact_mse_minimizer(4.0, conjecture, params)
         assert got == pytest.approx(2.0 * 3.0 + 1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("exponent", [4, 8, 9, 12, 50, 100])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("conjecture", [TAYLOR_RULE, LinearRule(0.3, -0.7)])
+    def test_large_theta_keeps_its_digits(self, exponent, sign, conjecture):
+        # the MSE values are of size theta**2; a unit step would lose the
+        # curvature to their rounding from about theta 1e8
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=1.0)
+        theta = sign * 10.0**exponent
+        want = optimal_forecast(conjecture, params)(theta)
+        got = exact_mse_minimizer(theta, conjecture, params)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("theta", [1e160, -1e200])
+    def test_mse_past_the_float_range_names_theta(self, theta):
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"theta {theta!r} puts")):
+            exact_mse_minimizer(theta, TAYLOR_RULE, params)
 
     def test_flat_objective_rejected(self):
         with pytest.raises(SingularDenominator):

@@ -1,10 +1,13 @@
 """Sampling, game playing, sample regressions, and best-response traces."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from feedbackcast import kernels, simulate
 from feedbackcast.errors import (
     DegenerateConjecture,
     InsufficientData,
@@ -42,6 +45,23 @@ class TestPolicyShockSpec:
             PolicyShockSpec(
                 family="truncated_normal", target_mean=0.5, target_var=0.25
             )
+
+    @pytest.mark.parametrize(
+        "mean,var,support",
+        [(0.5, 0.0834, (0.0, 1.0)), (0.2, 0.05, (0.0, 1.0)), (1.0, 0.95, None)],
+        ids=["mid-interval", "low-interval", "half-line"],
+    )
+    def test_truncnorm_the_sampler_cannot_reach_is_rejected_up_front(self, mean, var, support):
+        # inside the Bhatia-Davis bound, but past what a truncated normal
+        # reaches: the verdict is the parent search's, made at construction
+        with pytest.raises(MomentMatchInfeasible, match="cannot match"):
+            PolicyShockSpec("truncated_normal", mean, var, support=support)
+
+    @pytest.mark.parametrize("mean,var", [(1.0, 1e20), (1.0, 1e300), (1e10, 1e25)])
+    def test_truncnorm_past_the_bound_is_rejected_before_the_search(self, mean, var):
+        # the search would divide by zero or accept a far-off match here
+        with pytest.raises(MomentMatchInfeasible, match="not attainable"):
+            PolicyShockSpec("truncated_normal", mean, var)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -370,6 +390,142 @@ class TestPlayGame:
         assert np.array_equal(out.action == menu[0], lhs <= rhs)
 
 
+PLAY_SETTINGS = {
+    "conjecture_rule": dict(conjecture=LinearRule(0.3, 0.8)),
+    "equilibrium": {},
+    "taylor_rule": {},
+    "conditional": dict(assumed_action=0.2, conjecture=LinearRule(0.1, 1.2)),
+    "conditional_applied": dict(assumed_action=0.2, dm_applies_assumed=True),
+    "constrained_menu": dict(menu=(-0.5, 1.0)),
+}
+
+RECORDS = ("theta", "x", "forecast", "action", "outcome", "error")
+
+
+class TestPlayInBlocks:
+    """``play_game`` plays ``simulate._PLAY_ROWS`` rows at a time and, on
+    more than one CPU, draws the next block's x and eps on a helper thread;
+    these tests shrink the blocks so a small run spans several."""
+
+    ROWS = 256
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_PLAY_ROWS", self.ROWS)
+
+    def _play(self, scenario="taylor_rule", family="beta_scaled", n=None):
+        mu, tau2 = 0.3, (0.0 if family == "degenerate" else 0.08)
+        run = SimulationRun(
+            draw_count=n or 3 * self.ROWS + 57, seed=13,
+            scenario=scenario.removesuffix("_applied"), **PLAY_SETTINGS[scenario],
+        )
+        return play_game(
+            run,
+            PolicyShockSpec(family=family, target_mean=mu, target_var=tau2),
+            StateNoiseSpec(theta_mean=0.5),
+            ModelParams(mu=mu, tau2=tau2, y_target=1.0),
+        )
+
+    @pytest.mark.parametrize("family", ["beta_scaled", "truncated_normal", "degenerate"])
+    @pytest.mark.parametrize("scenario", list(PLAY_SETTINGS))
+    def test_outputs_do_not_depend_on_the_cpu_count(self, monkeypatch, scenario, family):
+        outs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            outs[cpus] = self._play(scenario, family)
+        # the rows of one block of the whole run
+        monkeypatch.setattr(simulate, "_PLAY_ROWS", outs[1].run.draw_count)
+        whole = self._play(scenario, family)
+        for name in RECORDS:
+            assert np.array_equal(getattr(outs[1], name), getattr(outs[2], name)), name
+            assert np.array_equal(getattr(outs[1], name), getattr(whole, name)), name
+        assert outs[1].summary == outs[2].summary
+
+    def test_many_blocks_under_frequent_thread_switches(self, monkeypatch):
+        # the helper and the calling thread hand the interpreter back and
+        # forth every microsecond, across 40 blocks
+        monkeypatch.setattr(simulate, "_PLAY_ROWS", 64)
+        outs = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 2):
+                monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+                outs[cpus] = self._play("constrained_menu", "truncated_normal", n=40 * 64)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in RECORDS:
+            assert np.array_equal(getattr(outs[1], name), getattr(outs[2], name)), name
+        assert outs[1].summary == outs[2].summary
+
+    def _sampler_calling(self, monkeypatch, before_draw):
+        sampler = simulate._shock_sampler
+
+        def patched(spec):
+            draw = sampler(spec)
+
+            def wrapped(rng, out):
+                before_draw()
+                return draw(rng, out)
+
+            return wrapped
+
+        monkeypatch.setattr(simulate, "_shock_sampler", patched)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+
+    def test_helper_draws_under_the_callers_error_state(self, monkeypatch):
+        seen = []
+        self._sampler_calling(
+            monkeypatch,
+            lambda: seen.append((np.geterr(), threading.current_thread() is threading.main_thread())),
+        )
+        state = dict(divide="raise", over="ignore", under="ignore", invalid="ignore")
+        with np.errstate(**state):
+            self._play()
+        assert len(seen) == 4
+        assert not any(on_main for _, on_main in seen)
+        assert all(err == state for err, _ in seen)
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise RuntimeError("draw failed")
+
+        self._sampler_calling(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            self._play()
+        assert threading.active_count() == threads
+
+    def test_callers_own_error_wins_over_the_helpers(self, monkeypatch):
+        calls = []
+
+        def fail_after_the_first():
+            calls.append(None)
+            if len(calls) > 1:
+                raise RuntimeError("helper failed")
+
+        def sums_fail(*args):
+            raise ValueError("caller failed")
+
+        self._sampler_calling(monkeypatch, fail_after_the_first)
+        # the first block fails in the calling thread while the helper draws
+        # the second
+        monkeypatch.setattr(simulate._GameSums, "of", sums_fail)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="caller failed"):
+            self._play()
+        assert threading.active_count() == threads
+        assert len(calls) == 2
+
+    def test_one_block_starts_no_helper(self, monkeypatch):
+        seen = []
+        self._sampler_calling(
+            monkeypatch, lambda: seen.append(threading.current_thread() is threading.main_thread())
+        )
+        self._play(n=self.ROWS)
+        assert seen == [True]
+
+
 class TestOlsMz:
     def test_exact_line(self):
         fit = ols_mz([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
@@ -417,6 +573,17 @@ class TestBestResponse:
         trace = best_response_iteration(LinearRule(0.0, 1.0), params)
         assert trace.status == "fixed_point"
         assert trace.rules[-1].slope == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("mu,tau2", [(0.5, 0.3), (0.98, 0.1), (1.3, 0.05), (0.1, 2.0)])
+    def test_flat_limit_is_attenuated_not_a_fixed_point(self, mu, tau2):
+        # root 1 is E-unstable (or no root exists), and the Taylor rule's
+        # iterates shrink to the flat rule, which solve does not list
+        params = ModelParams(mu=mu, tau2=tau2, y_target=2.0)
+        trace = best_response_iteration(LinearRule(0.0, 1.0), params, max_iter=1000)
+        assert trace.status == "attenuated"
+        assert not trace.converged
+        assert abs(trace.rules[-1].slope) < 1e-10
+        assert trace.rules[-1].intercept == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_slope_iterate_stops_cleanly(self):
         params = ModelParams(mu=0.5, tau2=0.1)
