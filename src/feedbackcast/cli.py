@@ -54,7 +54,7 @@ from .simulate import (
     SimulationRun,
     StateNoiseSpec,
     _PLAY_ROWS,
-    _play_blocks,
+    _player,
     ols_mz,
 )
 
@@ -66,13 +66,6 @@ def _fmt(value: float) -> str:
 
 
 _BLOCK_ROWS = 4096
-
-
-def _write_table(handle, header: str, labels: int, cols) -> None:
-    """Write ``header`` and one CSV row per index of the equal-length ``cols``
-    (``_write_rows``)."""
-    handle.write(header + "\n")
-    _write_rows(handle, labels, cols)
 
 
 def _write_rows(handle, labels: int, cols) -> None:
@@ -382,7 +375,8 @@ def cmd_simulate(ns) -> int:
         dm_applies_assumed=ns.dm_applies_assumed,
         menu=ns.menu,
     )
-    blocks = _play_blocks(run, shock, state, params)
+    # the player checks the inputs and solves the rule before any output opens
+    play = _player(run, shock, state, params)
     # glibc's malloc raises its mmap and heap-trim thresholds to the size of
     # the largest mmapped block freed (up to 32 MB). Freeing an 8 MB one here
     # keeps each block's arrays and the writer's temporaries on a heap that
@@ -393,18 +387,9 @@ def cmd_simulate(ns) -> int:
 
     draws_path = f"{ns.out_prefix}_draws.csv"
     summary_path = f"{ns.out_prefix}_summary.json"
-    # a failure in a later block closes the player, which joins its helper
-    with (
-        contextlib.closing(blocks),
-        _output(draws_path) as draws,
-        _output(summary_path) as handle,
-    ):
+    with _output(draws_path) as draws, _output(summary_path) as handle:
         draws.write("theta,x,forecast,action,outcome,error\n")
-        total = None
-        for columns, sums in blocks:
-            _write_rows(draws, 0, columns)
-            total = sums if total is None else total.merge(sums)
-        s = total.summary()
+        s = play(lambda columns: _write_rows(draws, 0, columns))
         summary = {
             "scenario": run.scenario,
             "draw_count": run.draw_count,
@@ -455,23 +440,20 @@ def cmd_evaluate(ns) -> int:
             _fmt(full.r_squared),
         )
     )
-    table = (
-        "window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error",
-        1,
-        (
-            rolling.window_end,
-            rolling.mz_intercept,
-            rolling.mz_slope,
-            rolling.slope_stderr,
-            rolling.r_squared,
-            rolling.mean_error,
-        ),
-    )
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as handle:
-            _write_table(handle, *table)
-    else:
-        _write_table(sys.stdout, *table)
+    with _output(ns.out or None) as handle:
+        handle.write("window_end,mz_intercept,mz_slope,slope_stderr,r_squared,mean_error\n")
+        _write_rows(
+            handle,
+            1,
+            (
+                rolling.window_end,
+                rolling.mz_intercept,
+                rolling.mz_slope,
+                rolling.slope_stderr,
+                rolling.r_squared,
+                rolling.mean_error,
+            ),
+        )
     return 0
 
 

@@ -110,23 +110,49 @@ def rolling_ols(xs, ys, window):
         _fit_windows(*data, step, 0, m)
         return fits
     # each half's buffers are half as long, so the two keep the budget
-    step, half, errors = _CHUNK_ELEMS // 2 // window, m // 2, []
-
-    def second_half():
-        try:
-            _fit_windows(*data, step, half, m)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    helper = threading.Thread(target=second_half)
-    helper.start()
+    step, half = _CHUNK_ELEMS // 2 // window, m // 2
+    helper = _Helper(_fit_windows, *data, step, half, m)
     try:
         _fit_windows(*data, step, 0, half)
     finally:
         helper.join()
-    if errors:
-        raise errors[0]
+    helper.result()
     return fits
+
+
+class _Helper:
+    """``work(*args)`` on a helper thread: the package's one way to start one.
+
+    The thread starts here, under the calling thread's numpy error state (in
+    numpy 2 the state belongs to a context, and a new thread starts from the
+    defaults). ``join`` waits for it; ``result`` waits, then returns the
+    work's value or raises its error in the calling thread. The work must
+    call no public function of the package: ``perfbench/spans.py`` wraps
+    those in timing spans and keeps one span stack, for the calling thread.
+    """
+
+    def __init__(self, work, *args):
+        self._value = self._error = None
+        state = np.geterr()
+
+        def run():
+            try:
+                with np.errstate(**state):
+                    self._value = work(*args)
+            except BaseException as exc:  # raised again by result()
+                self._error = exc
+
+        self._thread = threading.Thread(target=run)
+        self._thread.start()
+
+    def join(self):
+        self._thread.join()
+
+    def result(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 @contextlib.contextmanager

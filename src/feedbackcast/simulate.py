@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -200,8 +199,9 @@ def _truncnorm_parent(
     ``PolicyShockSpec`` and by sampling alike. A pair at or past the
     Bhatia-Davis bound (mean - lo)(hi - mean), which no distribution on
     (lo, hi) reaches (on the half-line, the CV < 1 limit (mean - lo)**2), is
-    rejected before the search, whose tolerance is absolute above scale 1
-    and could otherwise accept a far-off match there.
+    rejected before the search. A root of the search is accepted only when
+    its mean and its variance are each within 1e-9 of their own target
+    (relative where the target exceeds 1).
     """
     above = mean - lo
     cap = above * (hi - mean) if math.isfinite(hi) else above * above
@@ -233,7 +233,9 @@ def _truncnorm_parent(
         sol = optimize.root(residual, x0, method="hybr")
         if sol.success:
             res = residual(sol.x)
-            if max(abs(res[0]), abs(res[1])) < 1e-9 * max(1.0, mean, var):
+            # each moment to its own scale, so a variance far above the
+            # mean cannot excuse a mean that is off
+            if abs(res[0]) < 1e-9 * max(1.0, mean) and abs(res[1]) < 1e-9 * max(1.0, var):
                 return float(sol.x[0]), float(math.exp(sol.x[1]))
     raise MomentMatchInfeasible(
         f"truncated normal on ({lo}, {hi}) cannot match mean {mean}, var {var}"
@@ -501,23 +503,19 @@ class _FitSums(NamedTuple):
         return tuple(float(v[0]) for v in values)
 
 
-def _full_ols(xs: np.ndarray, ys: np.ndarray):
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("inputs must be 1-D arrays of equal length")
-    n = xs.shape[0]
-    if n < 3:
-        raise InsufficientData(f"need at least 3 observations, got {n}")
-    return _FitSums.of(xs, ys).fit()
-
-
 def ols_mz(forecasts, outcomes) -> MzFit:
     """Least-squares line of outcomes on forecasts with classical standard
     errors; the full-sample case of the rolling fit (same arithmetic, so the
     two agree exactly when the window spans the sample). Raises ValueError
     where the fit's sums leave the float range."""
-    return _mz_fit(*_full_ols(forecasts, outcomes))
+    xs = np.ascontiguousarray(forecasts, dtype=np.float64)
+    ys = np.ascontiguousarray(outcomes, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("inputs must be 1-D arrays of equal length")
+    if xs.shape[0] < 3:
+        # checked before the sums too, which an empty sample cannot form
+        raise InsufficientData(f"need at least 3 observations, got {xs.shape[0]}")
+    return _mz_fit(*_FitSums.of(xs, ys).fit())
 
 
 def _mz_fit(intercept, slope, intercept_se, slope_se, r_squared) -> MzFit:
@@ -608,56 +606,29 @@ def _fill_normal(rng, sd, out):
     return out
 
 
-class _DrawAhead:
-    """``draw(*args)`` on a helper thread, started here under the calling
-    thread's numpy error state (a new thread starts from numpy's defaults);
-    ``result`` joins it and returns the draw, or raises the helper's error."""
-
-    def __init__(self, draw, *args):
-        self._value = self._error = None
-        state = np.geterr()
-
-        def run():
-            try:
-                with np.errstate(**state):
-                    self._value = draw(*args)
-            except BaseException as exc:  # raised again in the calling thread
-                self._error = exc
-
-        self._thread = threading.Thread(target=run)
-        self._thread.start()
-
-    def join(self):
-        self._thread.join()
-
-    def result(self):
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-def _play_blocks(
+def _player(
     run: SimulationRun,
     shock: PolicyShockSpec,
     sn: StateNoiseSpec,
     params: ModelParams,
 ):
-    """Play ``run`` in blocks of at most ``_PLAY_ROWS`` rounds.
+    """Check the inputs and solve the rule and the shock's shape for ``run``,
+    then return ``play``.
 
-    Checks the inputs and solves the rule and the shock's shape here, then
-    returns an iterator over the blocks: each is the tuple (theta, x,
-    forecast, action, outcome, error) of its rows and their ``_GameSums``.
-    The three streams are drawn in order across blocks, so every block size
-    gives the same rows; each block is played and summed under the
-    float-range guard.
+    ``play(emit)`` plays ``run`` in blocks of at most ``_PLAY_ROWS`` rounds,
+    passes each block's (theta, x, forecast, action, outcome, error) to
+    ``emit`` in order, and returns the summary of the whole run, merged from
+    the blocks' ``_GameSums``. The three streams are drawn in order across
+    blocks, so every block size gives the same rows; each block is played
+    and summed under the float-range guard.
 
     With more than one block and more than one usable CPU, one helper thread
-    draws the next block's x and eps while the calling thread draws theta
-    and plays and sums the block before it. Each stream is drawn by one
+    draws the next block's x and eps while the calling thread draws theta,
+    plays, sums and emits the block before it. Each stream is drawn by one
     thread at a time, in block order, so the rows do not depend on the
-    helper. An error in the helper is raised here unless the calling thread
-    raised its own; closing the iterator early joins its helper first.
+    helper. An error in the helper is raised by ``play`` unless the calling
+    thread raised its own, and ``play`` joins its helper before it returns
+    or raises.
     """
     _require_matching_shock(shock, params)
     draw_x = _shock_sampler(shock)
@@ -681,10 +652,11 @@ def _play_blocks(
     def ahead_of(k):
         # the arrays come from the calling thread, so the helper's own
         # allocator arena keeps no block resident
-        return _DrawAhead(draw_rest, np.empty(k), np.empty(k))
+        return kernels._Helper(draw_rest, np.empty(k), np.empty(k))
 
-    def blocks():
+    def play(emit) -> SimulationSummary:
         pending = ahead_of(sizes[0]) if ahead else None
+        total = None
         try:
             for i, k in enumerate(sizes):
                 theta = rng_theta.normal(sn.theta_mean, sd_theta, k)
@@ -697,12 +669,14 @@ def _play_blocks(
                 with kernels._float_range("the game's values"):
                     forecast, action, outcome, error = react(theta, x, eps)
                     sums = _GameSums.of(theta, forecast, outcome, error)
-                yield (theta, x, forecast, action, outcome, error), sums
+                emit((theta, x, forecast, action, outcome, error))
+                total = sums if total is None else total.merge(sums)
         finally:
             if pending is not None:
                 pending.join()
+        return total.summary()
 
-    return blocks()
+    return play
 
 
 def play_game(
@@ -722,16 +696,19 @@ def play_game(
     merges the blocks' sums as ``simulate`` does, so the two agree bit for
     bit at every ``draw_count``.
     """
+    play = _player(run, shock, sn, params)
     records = tuple(np.empty(run.draw_count) for _ in range(6))
-    total, start = None, 0
-    with contextlib.closing(_play_blocks(run, shock, sn, params)) as blocks:
-        for columns, sums in blocks:
-            stop = start + columns[0].shape[0]
-            for record, column in zip(records, columns):
-                record[start:stop] = column
-            start = stop
-            total = sums if total is None else total.merge(sums)
-    return SimulationOutput(*records, summary=total.summary(), run=run)
+    start = 0
+
+    def copy(columns):
+        nonlocal start
+        stop = start + columns[0].shape[0]
+        for record, column in zip(records, columns):
+            record[start:stop] = column
+        start = stop
+
+    summary = play(copy)
+    return SimulationOutput(*records, summary=summary, run=run)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Shared pytest configuration: a deterministic hypothesis profile, and a
-fixture that counts the threads rolling_ols starts."""
+fixture that counts the helper threads the package starts."""
 
 import threading
 from types import SimpleNamespace
@@ -21,7 +21,8 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """One entry per thread that ``kernels`` starts during the test."""
+    """One entry per thread that ``kernels`` starts during the test: every
+    helper thread of the package, ``rolling_ols``'s and the game player's."""
     started = []
 
     def counted(*args, **kwargs):

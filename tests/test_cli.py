@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import feedbackcast
-from feedbackcast import kernels, simulate
+from feedbackcast import cli, kernels, simulate
 from feedbackcast.cli import (
     ENV_SEED,
     _BLOCK_ROWS,
@@ -27,7 +27,6 @@ from feedbackcast.cli import (
     _fit_dict,
     _fmt,
     _linspace,
-    _write_table,
     main,
 )
 from feedbackcast.errors import DegenerateEquilibrium, NoEquilibrium
@@ -76,7 +75,8 @@ def _write_rows(path, header, cols):
 
 def _write_blocks(path, header, labels, cols):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_table(handle, header, labels, cols)
+        handle.write(header + "\n")
+        cli._write_rows(handle, labels, cols)
 
 
 def _edge_columns(n, k, seed):
@@ -859,6 +859,41 @@ class TestOutputFiles:
         assert code == 1
         assert err.startswith("feedbackcast: error: intercept must be finite")
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        assert path.read_text() == "an earlier table\n"
+
+    def test_no_equilibrium_is_reported_before_any_output_opens(self, capsys, tmp_path):
+        # the rule is solved before the draws file is opened, so the missing
+        # directory is never reached
+        argv = ["simulate", "--scenario", "equilibrium", "--family", "truncated_normal",
+                "--mu", "1", "--tau2", "0.3", "--n", "10",
+                "--out-prefix", str(tmp_path / "nowhere" / "x")]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("feedbackcast: no equilibrium: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_evaluate_leaves_the_out_file_untouched(self, capsys, tmp_path, monkeypatch):
+        # the table's second block fails to format, after the header and the
+        # first block have been written
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+        format_rows, calls = kernels.format_rows, []
+
+        def fail_second(columns):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return format_rows(columns)
+
+        monkeypatch.setattr(kernels, "format_rows", fail_second)
+        path = tmp_path / "rolling.csv"
+        path.write_text("an earlier table\n")
+        argv = ["evaluate", str(DATA_DIR / "two_regime_series.csv"), "--out", str(path)]
+        code, _, err = _run(capsys, argv)
+        assert code == 3, err
+        assert err.startswith("feedbackcast: i/o error: ")
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["rolling.csv"]
         assert path.read_text() == "an earlier table\n"
 
     def test_missing_directory_names_the_path_asked_for(self, capsys, tmp_path):

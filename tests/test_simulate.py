@@ -57,6 +57,14 @@ class TestPolicyShockSpec:
         with pytest.raises(MomentMatchInfeasible, match="cannot match"):
             PolicyShockSpec("truncated_normal", mean, var, support=support)
 
+    def test_truncnorm_mean_is_matched_to_its_own_scale(self):
+        # (1, 0.5) scaled by 1e100: the search ends at a root with the
+        # variance matched and the mean 15% high, which one tolerance scaled
+        # by the variance would accept. With a tolerance per moment the pair
+        # is rejected, although a truncated normal reaches it exactly
+        with pytest.raises(MomentMatchInfeasible, match="cannot match"):
+            PolicyShockSpec("truncated_normal", 1e100, 5e199)
+
     @pytest.mark.parametrize("mean,var", [(1.0, 1e20), (1.0, 1e300), (1e10, 1e25)])
     def test_truncnorm_past_the_bound_is_rejected_before_the_search(self, mean, var):
         # the search would divide by zero or accept a far-off match here
@@ -541,6 +549,11 @@ class TestOlsMz:
     def test_too_few_observations(self):
         with pytest.raises(InsufficientData):
             ols_mz([0.0, 1.0], [1.0, 2.0])
+
+    def test_empty_sample_has_too_few_observations(self):
+        # not an overflow: an empty sample has no means to form
+        with pytest.raises(InsufficientData, match="got 0"):
+            ols_mz([], [])
 
     def test_matches_polyfit(self):
         rng = np.random.default_rng(2)
