@@ -541,8 +541,6 @@ def _load_config_mapping(path: str) -> dict:
         return {}
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        if not isinstance(data, dict):
-            raise ValueError("config JSON must be an object")
         return {str(k).replace("-", "_"): v for k, v in data.items()}
     mapping = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

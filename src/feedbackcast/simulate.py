@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -81,14 +80,15 @@ class PolicyShockSpec:
     Families: ``beta_scaled`` (Beta rescaled to a bounded support, default
     (0, 1)), ``truncated_normal`` (normal truncated to [lo, hi), default
     (0, inf), parent parameters solved numerically), and ``degenerate``
-    (point mass, requires zero variance). Draws are strictly positive in all
-    families, as the game requires.
+    (point mass, requires zero variance, default support (0, inf)). Draws
+    are strictly positive in all families, as the game requires.
 
     Feasibility is checked here, so an infeasible pair never reaches
-    sampling: each family asks the solver that sampling uses, the Beta shape
-    solver for beta_scaled (after rescaling the support to (0, 1), the
-    variance must stay below m(1 - m)) and the parent search for
-    truncated_normal (cached, so sampling does not search again).
+    sampling: after the support checks, the spec builds its sampler once,
+    and building it is the verdict. The sampler solves the Beta shapes for
+    beta_scaled (after rescaling the support to (0, 1), the variance must
+    stay below m(1 - m)) and searches the parent for truncated_normal; a
+    play builds it again, so the spec holds no sampler.
     """
 
     family: str
@@ -108,8 +108,6 @@ class PolicyShockSpec:
         if self.family == "degenerate":
             if tv != 0.0:
                 raise ValueError("degenerate family requires target_var = 0")
-            if self.support is None:
-                return
         elif tv == 0.0:
             raise ValueError(
                 f"{self.family} requires target_var > 0; use the degenerate family"
@@ -122,25 +120,22 @@ class PolicyShockSpec:
             raise ValueError(
                 f"target_mean {self.target_mean} outside support ({lo}, {hi})"
             )
-        if self.family == "beta_scaled":
-            _beta_shape(self.target_mean, tv, lo, hi)
-        elif self.family == "truncated_normal":
-            _truncnorm_parent(self.target_mean, tv, lo, hi)
+        _shock_sampler(self)
 
     @property
     def bounds(self) -> tuple[float, float]:
         if self.support is not None:
             return self.support
-        if self.family == "truncated_normal":
-            return 0.0, math.inf
-        return 0.0, 1.0
+        if self.family == "beta_scaled":
+            return 0.0, 1.0
+        return 0.0, math.inf
 
 
 def _beta_shape(mean: float, var: float, lo: float, hi: float) -> tuple[float, float]:
     """Shapes (a, b) of the Beta on (lo, hi) with the given mean and variance.
 
-    The one feasibility verdict for beta_scaled, used by ``PolicyShockSpec``
-    and by sampling alike: after rescaling to (0, 1) the variance v must lie
+    The one feasibility verdict for beta_scaled, reached through
+    ``_shock_sampler``: after rescaling to (0, 1) the variance v must lie
     in (0, m(1 - m)), and both shapes must come out positive and finite.
     """
     width = hi - lo
@@ -168,38 +163,32 @@ def _truncnorm_moments(m: float, s: float, lo: float, hi: float) -> tuple[float,
     from scipy import special
 
     alpha = (lo - m) / s
-    if math.isinf(hi):
-        beta = math.inf
-        pb = 1.0
-        phi_b = 0.0
-        tb = 0.0
-    else:
-        beta = (hi - m) / s
-        pb = float(special.ndtr(beta))
-        phi_b = _phi(beta)
-        tb = beta * phi_b
+    beta = (hi - m) / s
     pa = float(special.ndtr(alpha))
+    pb = float(special.ndtr(beta))  # 1 at hi = inf
     z = pb - pa
     if z <= 0.0:
         return math.nan, math.nan
     phi_a = _phi(alpha)
+    phi_b = _phi(beta)
+    # phi_b is 0 at hi = inf, where beta * phi_b would be nan
+    tb = beta * phi_b if phi_b else 0.0
     ratio = (phi_a - phi_b) / z
     mean = m + s * ratio
     var = s * s * (1.0 + (alpha * phi_a - tb) / z - ratio * ratio)
     return mean, var
 
 
-@lru_cache(maxsize=128)
 def _truncnorm_parent(
     mean: float, var: float, lo: float, hi: float
 ) -> tuple[float, float]:
     """Parent (m, s) of the truncated normal matching (mean, var) on [lo, hi).
 
-    The one feasibility verdict for truncated_normal, used by
-    ``PolicyShockSpec`` and by sampling alike. A pair at or past the
-    Bhatia-Davis bound (mean - lo)(hi - mean), which no distribution on
-    (lo, hi) reaches (on the half-line, the CV < 1 limit (mean - lo)**2), is
-    rejected before the search. A root of the search is accepted only when
+    The one feasibility verdict for truncated_normal, reached through
+    ``_shock_sampler``. A pair at or past the Bhatia-Davis bound
+    (mean - lo)(hi - mean), which no distribution on (lo, hi) reaches (on
+    the half-line, the CV < 1 limit (mean - lo)**2), is rejected before the
+    search. A root of the search is accepted only when
     its mean and its variance are each within 1e-9 of their own target
     (relative where the target exceeds 1).
     """
@@ -265,7 +254,9 @@ def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
 def _shock_sampler(spec: PolicyShockSpec):
     """A function ``(rng, out)`` filling the array ``out`` with reaction
     strengths drawn from ``spec`` and returning it, with the Beta shapes or
-    the truncated-normal parent solved once. Each draw depends only on its
+    the truncated-normal parent solved once. The only code that solves them,
+    so building the sampler is the spec's feasibility verdict: an infeasible
+    pair raises ``MomentMatchInfeasible`` here. Each draw depends only on its
     place in ``rng``'s stream, so draws taken in blocks equal the draws of
     one call. The draws are scaled in ``out``, with the operations of
     ``lo + (hi - lo) * u`` in the same order, so they round alike without
@@ -278,9 +269,10 @@ def _shock_sampler(spec: PolicyShockSpec):
 
         return fill
     lo, hi = spec.bounds
+    # on the half-line, cap is the largest float, past every draw
+    floor, cap = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if spec.family == "beta_scaled":
         a, b = _beta_shape(spec.target_mean, spec.target_var, lo, hi)
-        floor, cap = np.nextafter(lo, hi), np.nextafter(hi, lo)
 
         def draw_beta(rng, out):
             np.multiply(rng.beta(a, b, out.shape[0]), hi - lo, out=out)
@@ -292,10 +284,8 @@ def _shock_sampler(spec: PolicyShockSpec):
 
     m, s = _truncnorm_parent(spec.target_mean, spec.target_var, lo, hi)
     p_lo = float(special.ndtr((lo - m) / s))
-    p_hi = 1.0 if math.isinf(hi) else float(special.ndtr((hi - m) / s))
+    p_hi = float(special.ndtr((hi - m) / s))
     p_floor, p_cap = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
-    floor = np.nextafter(lo, math.inf)
-    cap = hi if math.isinf(hi) else np.nextafter(hi, lo)
 
     def draw(rng, out):
         p = rng.random(out=out)

@@ -1158,6 +1158,27 @@ class TestConfigFile:
         assert code == 0
         assert len(out.strip().splitlines()) == 7
 
+    def test_config_equals_spelling(self, capsys, tmp_path):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps({"mu": 0.98, "tau2": 0.1, "ytarget": 2}))
+        report = _run_json(capsys, ["solve", f"--config={cfg}"])
+        assert report["taylor"]["mz_line"]["slope"] == 1.0505050505050506
+
+    def test_empty_config_adds_nothing(self, capsys, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("\n  \n")
+        argv = ["solve", "--mu", "0.98", "--tau2", "0.1", "--ytarget", "2"]
+        assert _run_json(capsys, [*argv, "--config", str(cfg)]) == _run_json(capsys, argv)
+
+    def test_json_array_config_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = _run(capsys, ["solve", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("feedbackcast: error: ")
+
     def test_unknown_key_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mu": 0.5, "tau2": 0.1, "mystery": 1}))
@@ -1214,6 +1235,15 @@ class TestConfigFile:
         assert code == 0
         rows = (tmp_path / "boolrun_draws.csv").read_text().splitlines()[1:]
         assert {row.split(",")[3] for row in rows} == {"0.25"}
+
+    def test_non_boolean_for_a_switch_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("dm-applies-assumed=maybe\n")
+        argv = _simulate_argv(tmp_path / "maybe", ["--config", str(cfg)])
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "config key 'dm_applies_assumed': expected a boolean, got 'maybe'" in err
+        assert not (tmp_path / "maybe_draws.csv").exists()
 
 
     @pytest.mark.parametrize(

@@ -98,6 +98,19 @@ class TestIngest:
             with pytest.raises(ValueError):
                 ingest_csv(_write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "periods,forecast,realization,message",
+        [
+            (("a", "b"), [[1.0, 2.0]], [3.0, 4.0], "must be 1-D"),
+            (("a", "b", "c"), [1.0, 2.0], [3.0, 4.0], "lengths differ"),
+            (("a", "b"), [1.0, 2.0], [3.0, float("nan")], "non-finite realization"),
+        ],
+        ids=["2-d-forecast", "mismatched-lengths", "nan"],
+    )
+    def test_direct_construction_is_validated(self, periods, forecast, realization, message):
+        with pytest.raises(ValueError, match=message):
+            ForecastSeries(periods, np.array(forecast), np.array(realization))
+
     def test_labels_must_strictly_increase(self, tmp_path):
         text = HEADER + "b,1,2\na,3,4\n"
         with pytest.raises(ValueError):

@@ -269,6 +269,11 @@ class TestBiasLine:
         assert line.coef_theta == 0.0
         assert line.coef_const == 0.0
 
+    def test_singular_without_uncertainty_at_mu_plus_c_zero(self):
+        # tau2 = 0 and mu + c = 0 make the denominator tau2 + (mu + c)^2 zero
+        with pytest.raises(SingularDenominator):
+            bias_line(LinearRule(0.0, -0.5), ModelParams(mu=0.5, tau2=0.0))
+
     def test_equilibrium_conjecture_at_quarter(self):
         # at tau2 = 1/4 the bias coefficient is exactly 1/2
         p = ModelParams(mu=0.3, tau2=0.25, y_target=0.0)

@@ -1,5 +1,6 @@
 """Sampling, game playing, sample regressions, and best-response traces."""
 
+import json
 import math
 import sys
 import threading
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from feedbackcast import kernels, simulate
+from feedbackcast.cli import main
 from feedbackcast.errors import (
     DegenerateConjecture,
     InsufficientData,
@@ -25,7 +27,7 @@ from feedbackcast.simulate import (
     play_game,
     sample_policy_shock,
 )
-from feedbackcast.simulate import _beta_shape, _truncnorm_parent
+from feedbackcast.simulate import _beta_shape
 
 
 class TestPolicyShockSpec:
@@ -122,11 +124,22 @@ class TestPolicyShockSpec:
         with pytest.raises(MomentMatchInfeasible):
             PolicyShockSpec("beta_scaled", mean, var, support=support)
 
-    def test_default_bounds_per_family(self):
+    def test_default_bounds_per_family(self, capsys, tmp_path):
         beta = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
         assert beta.bounds == (0.0, 1.0)
         tn = PolicyShockSpec(family="truncated_normal", target_mean=0.5, target_var=0.1)
         assert tn.bounds == (0.0, math.inf)
+        # the default support holds the point mass, wherever it sits
+        point = PolicyShockSpec(family="degenerate", target_mean=2.0, target_var=0.0)
+        assert point.bounds == (0.0, math.inf)
+        prefix = tmp_path / "point"
+        argv = [
+            "simulate", "--scenario", "taylor_rule", "--family", "degenerate",
+            "--mu", "2", "--tau2", "0", "--n", "10", "--out-prefix", str(prefix),
+        ]
+        assert main(argv) == 0, capsys.readouterr().err
+        lo, hi = json.loads((tmp_path / "point_summary.json").read_text())["shock"]["support"]
+        assert lo < 2.0 < hi
 
 
 class TestSamplePolicyShock:
@@ -180,9 +193,7 @@ class TestSamplePolicyShock:
     def test_truncnorm_match_runs_without_a_numpy_warning(self, mean, var, support):
         # a far mean or a tiny spread puts the normal density's z past 1e154
         # during the match, where z * z overflows; that must not print a
-        # RuntimeWarning, which the suite turns into an error. The cache is
-        # cleared so that the match runs here, whatever ran before.
-        _truncnorm_parent.cache_clear()
+        # RuntimeWarning, which the suite turns into an error.
         spec = PolicyShockSpec("truncated_normal", mean, var, support=support)
         lo, hi = spec.bounds
         draws = sample_policy_shock(spec, 3, 0)
@@ -303,6 +314,14 @@ class TestPlayGame:
         second = play_game(run, shock, state, params)
         for name in ("theta", "x", "forecast", "action", "outcome", "error"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_under_three_draws_fit_no_line(self, n):
+        run, shock, state, params = _taylor_setup(n=n)
+        summary = play_game(run, shock, state, params).summary
+        assert summary.draw_count == n
+        assert summary.mz is None and summary.bias_fit is None
+        assert math.isfinite(summary.mse)
 
     def test_shock_params_mismatch_rejected(self):
         run, _, state, params = _taylor_setup()
