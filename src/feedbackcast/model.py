@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateEquilibrium,
-    MissingMenu,
     NoEquilibrium,
     SingularDenominator,
     SingularMZ,
@@ -45,7 +44,6 @@ __all__ = [
     "MZLine",
     "BiasLine",
     "EquilibriumSolution",
-    "ConditionalForecastSpec",
     "MseSplit",
     "TAYLOR_RULE",
     "dm_optimal_action",
@@ -231,13 +229,11 @@ class EquilibriumSolution:
     k_values: tuple[float, float] | None = None
     degenerate: tuple[bool, bool] = (False, False)
     repeated: bool = False
-    selected_index: int = 1
 
-    def rule(self, index: int | None = None) -> LinearRule:
-        """Return the equilibrium rule with 1-based ``index`` (default: the
-        selected root), raising if it does not exist or is degenerate."""
-        if index is None:
-            index = self.selected_index
+    def rule(self, index: int = 1) -> LinearRule:
+        """Return the equilibrium rule with 1-based ``index`` (default: root
+        1, the first self-confirming rule, which solve, sweep and simulate
+        report), raising if it does not exist or is degenerate."""
         if index not in (1, 2):
             raise ValueError(f"equilibrium index must be 1 or 2, got {index}")
         index = int(index)
@@ -250,10 +246,6 @@ class EquilibriumSolution:
         rule = self.rules[index - 1]
         assert rule is not None
         return rule
-
-    @property
-    def selected_rule(self) -> LinearRule:
-        return self.rule(None)
 
 
 def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
@@ -436,46 +428,16 @@ def mse_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class ConditionalForecastSpec:
-    """A forecast conditioned on an announced action.
-
-    assumed_action
-        The action the forecast takes as given; the conditional forecast is
-        theta + assumed_action.
-    menu
-        Optional pair of actions a constrained DM chooses between.
-    t_cost
-        The DM's quadratic action cost coefficient; required whenever a menu
-        is present and must exceed -1 so the DM problem stays convex.
-    """
-
-    assumed_action: float
-    menu: tuple[float, float] | None = None
-    t_cost: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assumed_action", _require_finite("assumed_action", self.assumed_action)
-        )
-        if self.menu is not None:
-            object.__setattr__(self, "menu", _require_menu(self.menu))
-            if self.t_cost is None:
-                raise ValueError("t_cost is required when a menu is present")
-        if self.t_cost is not None:
-            object.__setattr__(self, "t_cost", _require_t_cost(self.t_cost))
-
-
-def conditional_forecast(theta: float, spec: ConditionalForecastSpec) -> float:
-    """Forecast of the outcome given that the action will be ``spec.assumed_action``."""
-    return _require_finite("theta", theta) + spec.assumed_action
+def conditional_forecast(theta: float, assumed_action: float) -> float:
+    """Forecast of the outcome given that the action will be ``assumed_action``."""
+    return _require_finite("theta", theta) + _require_finite("assumed_action", assumed_action)
 
 
 def conditional_bias_and_mz(
-    spec: ConditionalForecastSpec, conjecture: LinearRule, params: ModelParams
+    assumed_action: float, conjecture: LinearRule, params: ModelParams
 ) -> tuple[BiasLine, MZLine]:
-    """Bias and MZ lines when the published forecast is theta + a0 but the DM
-    still reacts through ``conjecture``.
+    """Bias and MZ lines when the published forecast is theta + a0, with
+    a0 = ``assumed_action``, but the DM still reacts through ``conjecture``.
 
         E[y - f | theta] = mu*(y_target + b/c) - (mu+c)/c * a0 - (mu/c) * theta
         E[y | f]         = mu*(y_target + b/c) - a0 + (c - mu)/c * f
@@ -484,7 +446,7 @@ def conditional_bias_and_mz(
     action removes reaction risk but leaves the inversion distortion.
     """
     b, c = _check_conjecture(conjecture)
-    a0 = spec.assumed_action
+    a0 = _require_finite("assumed_action", assumed_action)
     s = params.mu + c
     level = params.mu * (c * params.y_target + b) / c
     bias = BiasLine(
@@ -519,28 +481,29 @@ def _prefers_first(f0, f1, a0, a1, t, y_target):
 def constrained_dm_choice(
     f0: float,
     f1: float,
-    spec: ConditionalForecastSpec,
+    menu: tuple[float, float],
+    t_cost: float,
     params: ModelParams,
 ) -> int:
-    """Index (0 or 1) of the menu action a cost-``t`` DM prefers, given the
-    conditional forecast announced for each.
+    """Index (0 or 1) of the action in the two-action ``menu`` that a DM with
+    quadratic action cost ``t_cost`` prefers, given the conditional forecast
+    announced for each. ``t_cost`` must exceed -1, so the DM problem stays
+    convex.
 
     The DM compares (f_i - y_target)**2 + t * a_i**2 and takes action 0 on
     ties. Raises ValueError when both costs overflow the float range, so
     neither can be ranked.
     """
-    if spec.menu is None:
-        raise MissingMenu("constrained choice requires a two-action menu")
     f0 = _require_finite("f0", f0)
     f1 = _require_finite("f1", f1)
-    a0, a1 = spec.menu
-    t = spec.t_cost
+    a0, a1 = menu = _require_menu(menu)
+    t = _require_t_cost(t_cost)
     y = params.y_target
     if _prefers_first(f0, f1, a0, a1, t, y):
         return 0
     if _prefers_first(f1, f0, a1, a0, t, y):
         return 1
     raise ValueError(
-        f"the DM's costs overflow at f0 = {f0!r}, f1 = {f1!r} with menu {spec.menu}; "
+        f"the DM's costs overflow at f0 = {f0!r}, f1 = {f1!r} with menu {menu}; "
         "neither action can be ranked"
     )

@@ -52,11 +52,6 @@ class OracleConfig:
         object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
 
-def _mse_total(f: float, theta: float, conjecture: LinearRule, params: ModelParams) -> float:
-    variance_term, bias_sq_term = mse_decomposition(f, theta, conjecture, params)
-    return variance_term + bias_sq_term
-
-
 def exact_mse_minimizer(theta: float, conjecture: LinearRule, params: ModelParams) -> float:
     """Minimize the exact conditional MSE in f by solving its linear FOC
     numerically.
@@ -73,7 +68,9 @@ def exact_mse_minimizer(theta: float, conjecture: LinearRule, params: ModelParam
     h = 1.0 + abs(theta)
 
     def at(f):
-        lo, mid, hi = (_mse_total(f + d, theta, conjecture, params) for d in (-h, 0.0, h))
+        lo, mid, hi = (
+            mse_decomposition(f + d, theta, conjecture, params).total for d in (-h, 0.0, h)
+        )
         curv = hi + lo - 2.0 * mid
         if not math.isfinite(curv):
             raise ValueError(

@@ -325,8 +325,8 @@ class SimulationRun:
     conjecture_rule
         Forecaster best-responds to ``conjecture``; DM reacts through it.
     equilibrium
-        Self-confirming rule (root ``equilibrium_index``, default the
-        selected first root) on both sides.
+        Self-confirming rule (root ``equilibrium_index``, default 1, the
+        first self-confirming rule) on both sides.
     taylor_rule
         DM conjectures f = theta (b=0, c=1); forecaster best-responds.
     conditional
@@ -571,7 +571,7 @@ def _reaction(run: SimulationRun, params: ModelParams):
         return applied
     # the published rule and the conjecture the DM reads it through
     if run.scenario == "equilibrium":
-        rule = cj = solve_equilibria(params).rule(run.equilibrium_index)
+        rule = cj = solve_equilibria(params).rule(run.equilibrium_index or 1)
     elif run.scenario == "conditional":
         rule, cj = LinearRule(run.assumed_action, 1.0), run.conjecture
     else:

@@ -18,7 +18,6 @@ from feedbackcast import cli
 from feedbackcast.errors import NoEquilibrium
 from feedbackcast.model import (
     TAYLOR_RULE,
-    ConditionalForecastSpec,
     LinearRule,
     ModelParams,
     conditional_bias_and_mz,
@@ -212,7 +211,6 @@ def test_criterion_8_conditional_suite():
     shock = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
     state = StateNoiseSpec(theta_mean=1.0, theta_var=1.5, noise_var=1.0)
 
-    spec = ConditionalForecastSpec(assumed_action=0.2)
     run = SimulationRun(
         draw_count=400_000,
         seed=8801,
@@ -221,7 +219,7 @@ def test_criterion_8_conditional_suite():
         assumed_action=0.2,
     )
     out = play_game(run, shock, state, params)
-    target_bias, _ = conditional_bias_and_mz(spec, TAYLOR_RULE, params)
+    target_bias, _ = conditional_bias_and_mz(0.2, TAYLOR_RULE, params)
     fit = out.summary.bias_fit
     z_theta = abs(fit.line.coef_theta - target_bias.coef_theta) / fit.stderrs[1]
     z_const = abs(fit.line.coef_const - target_bias.coef_const) / fit.stderrs[0]
@@ -239,9 +237,7 @@ def test_criterion_8_conditional_suite():
 
     p1 = ModelParams(mu=1.0, tau2=0.1, y_target=2.0)
     for a0 in (0.0, 0.25, -1.0):
-        _, mz = conditional_bias_and_mz(
-            ConditionalForecastSpec(assumed_action=a0), TAYLOR_RULE, p1
-        )
+        _, mz = conditional_bias_and_mz(a0, TAYLOR_RULE, p1)
         assert mz.slope == 0.0
         assert mz.intercept == -a0 + p1.y_target
     print(

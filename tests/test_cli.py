@@ -20,7 +20,6 @@ import pytest
 import feedbackcast
 from feedbackcast import cli, kernels, simulate
 from feedbackcast.cli import (
-    ENV_SEED,
     _BLOCK_ROWS,
     _apply_config_file,
     _build_parser,
@@ -472,27 +471,14 @@ class TestSimulate:
         sb = json.loads((tmp_path / "b_summary.json").read_text())
         assert sa["summary"] == sb["summary"]
 
-    def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "7")
+    def test_environment_leaves_the_default_seed(self, capsys, tmp_path, monkeypatch):
+        # only --seed or a config file sets the seed
+        monkeypatch.setenv("FEEDBACKCAST_SEED", "7")
         prefix = tmp_path / "env"
         assert main(_simulate_argv(prefix)) == 0
         capsys.readouterr()
         summary = json.loads((tmp_path / "env_summary.json").read_text())
-        assert summary["seed"] == 7
-
-    def test_seed_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "7")
-        prefix = tmp_path / "flag"
-        assert main(_simulate_argv(prefix, ["--seed", "3"])) == 0
-        capsys.readouterr()
-        summary = json.loads((tmp_path / "flag_summary.json").read_text())
-        assert summary["seed"] == 3
-
-    def test_invalid_environment_seed(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "lots")
-        code, _, err = _run(capsys, _simulate_argv(tmp_path / "bad"))
-        assert code == 1
-        assert ENV_SEED in err
+        assert summary["seed"] == 0
 
     @pytest.mark.parametrize(
         "extra",
@@ -1179,6 +1165,14 @@ class TestConfigFile:
         assert err.count("\n") == 1
         assert err.startswith("feedbackcast: error: ")
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "unknown"])
+    def test_missing_or_unknown_subcommand_exit_1(self, capsys, argv):
+        # no config file is looked for without a known subcommand
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert sum(line.startswith("feedbackcast: error:") for line in err.splitlines()) == 1
+
     def test_unknown_key_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"mu": 0.5, "tau2": 0.1, "mystery": 1}))
@@ -1436,12 +1430,14 @@ class TestClosedPipe:
 
 
 # the names the package exported when its __init__ listed them one by one,
-# but BracketFailure, which went with the oracle's golden-section search
+# but BracketFailure, which went with the oracle's golden-section search, and
+# ConditionalForecastSpec and MissingMenu, which went when the conditional
+# functions came to take their values as arguments
 EXPORTED = (
     "__version__ FeedbackcastError DegenerateConjecture "
-    "DegenerateEquilibrium InsufficientData MissingMenu MomentMatchInfeasible "
+    "DegenerateEquilibrium InsufficientData MomentMatchInfeasible "
     "NoEquilibrium ParseError SchemaError SingularDenominator SingularMZ "
-    "WindowTooLarge ZeroVariance TAYLOR_RULE BiasLine ConditionalForecastSpec "
+    "WindowTooLarge ZeroVariance TAYLOR_RULE BiasLine "
     "EquilibriumSolution LinearRule ModelParams MseSplit MZLine bias_line "
     "conditional_bias_and_mz conditional_forecast constrained_dm_choice "
     "dm_optimal_action equilibrium_bias_and_mz mse_decomposition mz_line "
@@ -1463,7 +1459,7 @@ class TestImport:
         assert out.strip() == "[]"
 
     def test_every_exported_name_imports(self):
-        assert len(EXPORTED) == 55
+        assert len(EXPORTED) == 53
         assert set(EXPORTED) <= set(feedbackcast.__all__)
         assert len(set(feedbackcast.__all__)) == len(feedbackcast.__all__)
         for name in feedbackcast.__all__:

@@ -9,14 +9,12 @@ from feedbackcast import kernels
 from feedbackcast.errors import (
     DegenerateConjecture,
     DegenerateEquilibrium,
-    MissingMenu,
     NoEquilibrium,
     SingularDenominator,
     SingularMZ,
 )
 from feedbackcast.model import (
     TAYLOR_RULE,
-    ConditionalForecastSpec,
     LinearRule,
     ModelParams,
     MseSplit,
@@ -250,10 +248,9 @@ class TestSolveEquilibria:
         assert second.slope == -0.5
         assert second.intercept == pytest.approx(1.5 * 3.0, rel=1e-15)
 
-    def test_selected_rule_and_index_validation(self):
+    def test_default_rule_and_index_validation(self):
         sol = solve_equilibria(ModelParams(mu=0.98, tau2=0.1))
-        assert sol.selected_index == 1
-        assert sol.selected_rule == sol.rule(1)
+        assert sol.rule() == sol.rule(1)
         with pytest.raises(ValueError):
             sol.rule(3)
 
@@ -400,87 +397,76 @@ class TestUnbiasedRule:
 
 class TestConditional:
     def test_forecast_is_theta_plus_action(self):
-        assert conditional_forecast(1.0, ConditionalForecastSpec(assumed_action=0.0)) == 1.0
-        assert (
-            conditional_forecast(1.0, ConditionalForecastSpec(assumed_action=0.25))
-            == 1.25
-        )
+        assert conditional_forecast(1.0, 0.0) == 1.0
+        assert conditional_forecast(1.0, 0.25) == 1.25
 
     def test_rational_dm_bias(self):
         # conjecture b = a0, c = 1 gives bias -a0 + mu * (y_target - theta)
         p = ModelParams(mu=0.8, tau2=0.1, y_target=2.0)
         a0 = 0.4
-        spec = ConditionalForecastSpec(assumed_action=a0)
-        bias, _ = conditional_bias_and_mz(spec, LinearRule(a0, 1.0), p)
+        bias, _ = conditional_bias_and_mz(a0, LinearRule(a0, 1.0), p)
         for theta in (-1.0, 2.0, 3.5):
             expected = -a0 + p.mu * (p.y_target - theta)
             assert bias(theta) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_rational_dm_on_target_is_unbiased(self):
         p = ModelParams(mu=1.0, tau2=0.1, y_target=2.0)
-        spec = ConditionalForecastSpec(assumed_action=0.0)
-        bias, _ = conditional_bias_and_mz(spec, LinearRule(0.0, 1.0), p)
+        bias, _ = conditional_bias_and_mz(0.0, LinearRule(0.0, 1.0), p)
         assert bias(p.y_target) == 0.0
 
     def test_taylor_dm_at_mu_one(self):
         p = ModelParams(mu=1.0, tau2=0.2, y_target=2.0)
         for a0 in (0.0, 0.25, -1.0):
-            spec = ConditionalForecastSpec(assumed_action=a0)
-            _, mz = conditional_bias_and_mz(spec, TAYLOR_RULE, p)
+            _, mz = conditional_bias_and_mz(a0, TAYLOR_RULE, p)
             assert mz.slope == 0.0
             assert mz.intercept == -a0 + p.y_target
 
     def test_worked_bias_value(self):
         p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
-        spec = ConditionalForecastSpec(assumed_action=0.2)
-        bias, _ = conditional_bias_and_mz(spec, TAYLOR_RULE, p)
+        bias, _ = conditional_bias_and_mz(0.2, TAYLOR_RULE, p)
         assert bias.coef_theta == pytest.approx(-0.5, rel=1e-15)
         assert bias.coef_const == pytest.approx(0.7, rel=1e-15)
         assert bias(1.0) == pytest.approx(0.2, rel=1e-12)
 
-    def test_spec_validation(self):
+    def test_argument_validation(self):
+        p = ModelParams(mu=0.5, tau2=0.1)
         with pytest.raises(ValueError):
-            ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0))
+            constrained_dm_choice(1.0, 2.0, (0.0, 1.0), -1.0, p)
         with pytest.raises(ValueError):
-            ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0), t_cost=-1.0)
+            constrained_dm_choice(1.0, 2.0, (0.0, 1.0, 2.0), 1.0, p)
         with pytest.raises(ValueError):
-            ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0, 2.0), t_cost=1.0)
+            conditional_forecast(1.0, math.nan)
         with pytest.raises(ValueError):
-            ConditionalForecastSpec(assumed_action=math.nan)
+            conditional_bias_and_mz(math.nan, TAYLOR_RULE, p)
 
 
 class TestConstrainedChoice:
     def test_costless_dm_takes_the_closer_forecast(self):
         p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
-        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 0.5), t_cost=0.0)
-        assert constrained_dm_choice(1.5, 2.4, spec, p) == 1
+        assert constrained_dm_choice(1.5, 2.4, (0.0, 0.5), 0.0, p) == 1
 
     def test_tie_breaks_to_first_action(self):
         p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
-        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(0.5, -0.5), t_cost=1.0)
-        assert constrained_dm_choice(1.0, 1.0, spec, p) == 0
+        assert constrained_dm_choice(1.0, 1.0, (0.5, -0.5), 1.0, p) == 0
 
     def test_on_target_forecast_wins_when_costless(self):
         p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
-        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0), t_cost=0.0)
-        assert constrained_dm_choice(2.0, 2.6, spec, p) == 0
+        assert constrained_dm_choice(2.0, 2.6, (0.0, 1.0), 0.0, p) == 0
 
     def test_missing_menu(self):
         p = ModelParams(mu=0.5, tau2=0.1)
-        with pytest.raises(MissingMenu):
-            constrained_dm_choice(1.0, 2.0, ConditionalForecastSpec(assumed_action=0.0), p)
+        with pytest.raises(ValueError, match="menu"):
+            constrained_dm_choice(1.0, 2.0, None, 0.5, p)
 
     def test_a_cost_past_the_float_limit_still_ranks(self):
         p = ModelParams(mu=0.5, tau2=0.1)
-        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(1e200, 0.0), t_cost=0.5)
-        assert constrained_dm_choice(1e200, 0.0, spec, p) == 1
-        assert constrained_dm_choice(0.0, 1e200, spec, p) == 0
+        assert constrained_dm_choice(1e200, 0.0, (1e200, 0.0), 0.5, p) == 1
+        assert constrained_dm_choice(0.0, 1e200, (1e200, 0.0), 0.5, p) == 0
 
     def test_costs_overflowing_on_both_sides_are_rejected(self):
         p = ModelParams(mu=0.5, tau2=0.1)
-        spec = ConditionalForecastSpec(assumed_action=0.0, menu=(0.0, 1.0), t_cost=0.5)
         with pytest.raises(ValueError, match="overflow"):
-            constrained_dm_choice(1e200, -1e200, spec, p)
+            constrained_dm_choice(1e200, -1e200, (0.0, 1.0), 0.5, p)
 
     @pytest.mark.parametrize(
         "menu", [(0.0, 0.5), (-0.5, 0.5), (1.0, -2.0), (1e200, 0.0), (1e308, 1.0)]
@@ -495,8 +481,7 @@ class TestConstrainedChoice:
         x = rng.uniform(0.01, 3.0, n)
         _, action, _, _ = kernels.menu_play(theta, x, np.zeros(n), *menu, p.y_target)
         for th, xi, taken in zip(theta.tolist(), x.tolist(), action.tolist()):
-            spec = ConditionalForecastSpec(0.0, menu=menu, t_cost=1.0 / xi - 1.0)
-            choice = constrained_dm_choice(th + menu[0], th + menu[1], spec, p)
+            choice = constrained_dm_choice(th + menu[0], th + menu[1], menu, 1.0 / xi - 1.0, p)
             assert taken == menu[choice]
 
 

@@ -5,7 +5,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from feedbackcast.model import (
-    ConditionalForecastSpec,
     LinearRule,
     ModelParams,
     bias_line,
@@ -126,10 +125,9 @@ def test_feasible_unit_interval_shock_implies_equilibrium(mu, frac):
 )
 def test_constrained_choice_minimizes_the_stated_objective(theta, a0, a1, t_cost, y_target):
     params = ModelParams(mu=0.5, tau2=0.1, y_target=y_target)
-    spec = ConditionalForecastSpec(assumed_action=a0, menu=(a0, a1), t_cost=t_cost)
     f0 = theta + a0
     f1 = theta + a1
-    idx = constrained_dm_choice(f0, f1, spec, params)
+    idx = constrained_dm_choice(f0, f1, (a0, a1), t_cost, params)
     cost0 = (f0 - y_target) ** 2 + t_cost * a0 * a0
     cost1 = (f1 - y_target) ** 2 + t_cost * a1 * a1
     slack = 1e-9 * (1.0 + abs(cost0) + abs(cost1))

@@ -342,7 +342,7 @@ class TestPlayGame:
                 equilibrium_index=index,
             )
             out = play_game(run, shock, state, params)
-            rule = sol.rule(index)
+            rule = sol.rule(index or 1)
             assert np.array_equal(
                 out.forecast, rule.intercept + rule.slope * out.theta
             )
@@ -568,6 +568,15 @@ class TestOlsMz:
     def test_too_few_observations(self):
         with pytest.raises(InsufficientData):
             ols_mz([0.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [([[0.0, 1.0, 2.0]], [[1.0, 3.0, 5.0]]), ([0.0, 1.0, 2.0], [1.0, 3.0, 5.0, 7.0])],
+        ids=["2-D", "unequal-lengths"],
+    )
+    def test_inputs_must_be_1d_of_equal_length(self, xs, ys):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            ols_mz(xs, ys)
 
     def test_empty_sample_has_too_few_observations(self):
         # not an overflow: an empty sample has no means to form

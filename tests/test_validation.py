@@ -19,7 +19,6 @@ from feedbackcast.evaluate import ForecastSeries, moving_average_bias, rolling_m
 from feedbackcast.model import (
     TAYLOR_RULE,
     BiasLine,
-    ConditionalForecastSpec,
     LinearRule,
     ModelParams,
     MZLine,
@@ -51,7 +50,6 @@ from feedbackcast.simulate import (
 
 P = ModelParams(mu=0.5, tau2=0.1)
 SHOCK = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
-SPEC = ConditionalForecastSpec(assumed_action=0.5, menu=(0.0, 1.0), t_cost=0.5)
 CFG = OracleConfig(sample_count=10_000)
 FLAT = LinearRule(1.0, 0.0)
 _rng = np.random.default_rng(0)
@@ -82,9 +80,10 @@ FLOAT_ARGS = [
     ("slope", lambda v: MZLine(0.0, v)),
     ("coef_theta", lambda v: BiasLine(v, 0.0)),
     ("coef_const", lambda v: BiasLine(0.0, v)),
-    ("assumed_action", lambda v: ConditionalForecastSpec(assumed_action=v)),
-    ("menu[0]", lambda v: ConditionalForecastSpec(0.0, menu=(v, 1.0), t_cost=0.5)),
-    ("t_cost", lambda v: ConditionalForecastSpec(0.0, menu=(0.0, 1.0), t_cost=v)),
+    ("assumed_action", lambda v: conditional_forecast(0.0, v)),
+    ("assumed_action", lambda v: conditional_bias_and_mz(v, TAYLOR_RULE, P)),
+    ("menu[0]", lambda v: constrained_dm_choice(0.0, 0.0, (v, 1.0), 0.5, P)),
+    ("t_cost", lambda v: constrained_dm_choice(0.0, 0.0, (0.0, 1.0), v, P)),
     ("target_mean", lambda v: PolicyShockSpec("beta_scaled", v, 0.1)),
     ("target_var", lambda v: PolicyShockSpec("beta_scaled", 0.5, v)),
     ("theta_mean", lambda v: StateNoiseSpec(theta_mean=v)),
@@ -99,9 +98,9 @@ FLOAT_ARGS = [
     ("forecast_value", lambda v: reaction_from_conjecture(0.5, TAYLOR_RULE, v, P)),
     ("forecast", lambda v: mse_decomposition(v, 0.0, TAYLOR_RULE, P)),
     ("theta", lambda v: mse_decomposition(0.0, v, TAYLOR_RULE, P)),
-    ("theta", lambda v: conditional_forecast(v, SPEC)),
-    ("f0", lambda v: constrained_dm_choice(v, 0.0, SPEC, P)),
-    ("f1", lambda v: constrained_dm_choice(0.0, v, SPEC, P)),
+    ("theta", lambda v: conditional_forecast(v, 0.5)),
+    ("f0", lambda v: constrained_dm_choice(v, 0.0, (0.0, 1.0), 0.5, P)),
+    ("f1", lambda v: constrained_dm_choice(0.0, v, (0.0, 1.0), 0.5, P)),
     ("theta", lambda v: exact_mse_minimizer(v, TAYLOR_RULE, P)),
     ("theta", lambda v: mc_mse_minimizer(v, TAYLOR_RULE, P, SHOCK, CFG)),
     ("forecast_value", lambda v: grid_action_minimizer(v, 0.5, TAYLOR_RULE, P)),
@@ -134,7 +133,7 @@ INT_ARGS = [
 ]
 
 PAIR_ARGS = [
-    ("menu", lambda v: ConditionalForecastSpec(0.0, menu=v, t_cost=0.5)),
+    ("menu", lambda v: constrained_dm_choice(0.0, 0.0, v, 0.5, P)),
     ("menu", _menu_run),
     ("support", lambda v: PolicyShockSpec("beta_scaled", 0.5, 0.1, support=v)),
     ("support", lambda v: PolicyShockSpec("truncated_normal", 0.5, 0.1, support=v)),
@@ -148,7 +147,7 @@ FLAT_CONJECTURE = [
     lambda: bias_line(FLAT, P),
     lambda: mz_line(FLAT, P),
     lambda: mse_decomposition(1.0, 0.0, FLAT, P),
-    lambda: conditional_bias_and_mz(SPEC, FLAT, P),
+    lambda: conditional_bias_and_mz(0.5, FLAT, P),
     lambda: _run(scenario="conjecture_rule", conjecture=FLAT),
     lambda: best_response_iteration(FLAT, P),
     lambda: exact_mse_minimizer(0.0, FLAT, P),
@@ -237,7 +236,7 @@ def test_flat_conjecture_is_degenerate(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda t: ConditionalForecastSpec(0.0, menu=(0.0, 1.0), t_cost=t),
+        lambda t: constrained_dm_choice(0.0, 0.0, (0.0, 1.0), t, P),
         lambda t: grid_action_minimizer(1.0, t, TAYLOR_RULE, P),
     ],
 )
