@@ -154,8 +154,8 @@ def _check_conjecture(conjecture) -> tuple[float, float]:
     return b, c
 
 
-def _require_window(window, minimum: int, error: type, length: int) -> int:
-    window = _require_int("window", window, minimum, error)
+def _require_window(window, length: int) -> int:
+    window = _require_int("window", window, 3, InsufficientData)
     if window > length:
         raise WindowTooLarge(f"window {window} exceeds series length {length}")
     return window

@@ -2,9 +2,9 @@
 
 Mirrors the diagnostics a forecast evaluator would run on an empirical
 series: a rolling Mincer-Zarnowitz regression (realization on forecast, per
-trailing window) and a trailing moving average of forecast errors. Input is
-a plain CSV panel; nothing here knows about the game, so the tools apply to
-any aligned forecast series.
+trailing window), with each window's mean forecast error in its
+``mean_error`` column. Input is a plain CSV panel; nothing here knows about
+the game, so the tools apply to any aligned forecast series.
 """
 
 from __future__ import annotations
@@ -18,20 +18,13 @@ from typing import IO, Iterable, Union
 from . import _numpy as np
 
 from . import kernels
-from .errors import (
-    InsufficientData,
-    ParseError,
-    SchemaError,
-    ZeroVariance,
-    _require_window,
-)
+from .errors import ParseError, SchemaError, ZeroVariance, _require_window
 
 __all__ = [
     "ForecastSeries",
     "RollingResult",
     "ingest_csv",
     "rolling_mz",
-    "moving_average_bias",
 ]
 
 _HEADER = ("period", "forecast", "realization")
@@ -150,15 +143,16 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
 
     A window spanning the whole series reproduces the full-sample fit
     exactly (identical arithmetic, not merely close). The mean_error column
-    comes from the error-mean path moving_average_bias takes. Raises
-    ValueError where a window's sums leave the float range, before any
+    is each window's mean of realization - forecast. Raises ValueError where
+    an error or a window's sums leave the float range, before any
     ZeroVariance for a flat window.
     """
-    window = _require_window(window, 3, InsufficientData, len(series))
+    window = _require_window(window, len(series))
     intercept, slope, _, slope_se, r2, flat = kernels.rolling_ols(
         series.forecast, series.realization, window
     )
-    mean_err = _error_means(series, window)
+    with kernels._float_range("the fit's sums"):
+        mean_err = kernels.rolling_mean(series.errors, window)
     if flat.any():
         starts = np.flatnonzero(flat)
         first = series.periods[starts[0] + window - 1]
@@ -176,23 +170,3 @@ def rolling_mz(series: ForecastSeries, window: int = 40) -> RollingResult:
         r_squared=r2,
         mean_error=mean_err,
     )
-
-
-def moving_average_bias(
-    series: ForecastSeries, window: int
-) -> list[tuple[str, float]]:
-    """Trailing mean of (realization - forecast) per window; window 1 returns
-    the raw error series. Shares rolling_mz's error-mean path, so it agrees
-    exactly with the mean_error column for matching windows and raises
-    ValueError where an error or a window's sum leaves the float range."""
-    window = _require_window(window, 1, ValueError, len(series))
-    means = _error_means(series, window)
-    labels = series.periods[window - 1 :]
-    return [(label, float(value)) for label, value in zip(labels, means)]
-
-
-def _error_means(series: ForecastSeries, window: int) -> np.ndarray:
-    """Trailing mean of realization - forecast over every window, with the
-    subtraction and the sums inside the fits' float-range guard."""
-    with kernels._float_range("the fit's sums"):
-        return kernels.rolling_mean(series.errors, window)

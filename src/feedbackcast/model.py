@@ -46,16 +46,12 @@ __all__ = [
     "EquilibriumSolution",
     "MseSplit",
     "TAYLOR_RULE",
-    "dm_optimal_action",
-    "reaction_from_conjecture",
     "optimal_forecast",
-    "unbiased_rule",
     "solve_equilibria",
     "bias_line",
     "mz_line",
     "equilibrium_bias_and_mz",
     "mse_decomposition",
-    "conditional_forecast",
     "conditional_bias_and_mz",
     "constrained_dm_choice",
 ]
@@ -142,29 +138,6 @@ class MseSplit(NamedTuple):
         return self.variance_term + self.bias_sq_term
 
 
-def dm_optimal_action(x: float, expected_state: float, params: ModelParams) -> float:
-    """Action of a DM with realized strength ``x`` who believes the state is
-    ``expected_state``: close a fraction ``x`` of the gap to the target."""
-    x = _require_positive("x", x)
-    expected_state = _require_finite("expected_state", expected_state)
-    return _require_finite("action", x * (params.y_target - expected_state))
-
-
-def reaction_from_conjecture(
-    x: float, conjecture: LinearRule, forecast_value: float, params: ModelParams
-) -> float:
-    """Realized action of a strength-``x`` DM who reads ``forecast_value``
-    through ``conjecture``:
-
-        a(f) = x * (y_target - f/c + b/c)
-
-    i.e. ``dm_optimal_action`` with the conjecture-implied state (f - b)/c.
-    """
-    b, c = _check_conjecture(conjecture)
-    forecast_value = _require_finite("forecast_value", forecast_value)
-    return dm_optimal_action(x, (forecast_value - b) / c, params)
-
-
 def optimal_forecast(conjecture: LinearRule, params: ModelParams) -> LinearRule:
     """MSE-optimal forecast rule f*(theta) = d + e * theta given the DM's conjecture.
 
@@ -185,22 +158,6 @@ def optimal_forecast(conjecture: LinearRule, params: ModelParams) -> LinearRule:
         )
     k = (params.tau2 + params.mu * s) / denom
     return LinearRule(intercept=k * (c * params.y_target + b), slope=c * s / denom)
-
-
-def unbiased_rule(conjecture: LinearRule, params: ModelParams) -> LinearRule:
-    """The forecast rule with zero conditional bias, f(theta) = (theta + mu*(y_target + b/c)) * c/(mu+c).
-
-    Not the MSE optimum: it ignores the variance the forecast itself injects
-    through the uncertain reaction.
-    """
-    b, c = _check_conjecture(conjecture)
-    s = params.mu + c
-    if s == 0.0:
-        raise SingularMZ("mu + c = 0; no affine rule is conditionally unbiased")
-    return LinearRule(
-        intercept=params.mu * (c * params.y_target + b) / s,
-        slope=c / s,
-    )
 
 
 @dataclass(frozen=True)
@@ -426,11 +383,6 @@ def mse_decomposition(
         variance_term=params.tau2 * adj * adj + params.sigma2,
         bias_sq_term=bias * bias,
     )
-
-
-def conditional_forecast(theta: float, assumed_action: float) -> float:
-    """Forecast of the outcome given that the action will be ``assumed_action``."""
-    return _require_finite("theta", theta) + _require_finite("assumed_action", assumed_action)
 
 
 def conditional_bias_and_mz(

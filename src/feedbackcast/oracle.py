@@ -3,7 +3,7 @@
 None of these uses the optimal-forecast formula: the exact oracle solves the
 first-order condition numerically from MSE evaluations, the Monte Carlo
 oracle minimizes a simulated objective in closed form from its sample
-moments, and the action oracle grid-searches the DM problem.
+moments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     _require_finite,
     _require_int,
     _require_positive,
-    _require_t_cost,
 )
 from .model import LinearRule, ModelParams, mse_decomposition
 from .simulate import PolicyShockSpec, _require_matching_shock, sample_policy_shock
@@ -29,7 +28,6 @@ __all__ = [
     "OracleConfig",
     "exact_mse_minimizer",
     "mc_mse_minimizer",
-    "grid_action_minimizer",
 ]
 
 
@@ -142,65 +140,3 @@ def mc_mse_minimizer(
         resid = u - f_hat * v
         stderr = np.std(resid, ddof=1) / (v_bar * math.sqrt(len(u)))
     return float(f_hat), float(stderr)
-
-
-def grid_action_minimizer(
-    forecast_value: float,
-    t_cost: float,
-    conjecture: LinearRule,
-    params: ModelParams,
-) -> float:
-    """Grid-plus-refinement minimizer of the DM objective
-
-        (theta_hat + a - y_target)^2 + sigma2 + t * a^2
-
-    with theta_hat the conjecture-implied state (f - b)/c. The search runs in
-    units of scale = |gap| + 1, gap = y_target - theta_hat: with a = scale * u
-    the objective is scale**2 * ((u - gap/scale)^2 + t * u^2) plus sigma2, a
-    constant left out, so no value overflows for any finite gap. Two staged
-    grids narrow the bracket and a final parabola through the best three
-    points lands on the vertex, within about 1e-7 * scale of the exact action
-    for t >= -1/2. Raises ValueError naming ``forecast_value`` when the gap or
-    the action is past the float range.
-    """
-    t = _require_t_cost(t_cost)
-    b, c = _check_conjecture(conjecture)
-    f = _require_finite("forecast_value", forecast_value)
-    gap = params.y_target - (f - b) / c
-    if not math.isfinite(gap):
-        raise ValueError(
-            f"forecast_value {f!r} puts the implied state's gap to the target "
-            "past the float range"
-        )
-    scale = abs(gap) + 1.0
-    g = gap / scale
-
-    def objective(u):
-        miss = u - g
-        return miss * miss + t * u * u
-
-    half = max(1.0, 1.0 / (1.0 + t))
-    lo, hi = -half, half
-    points = 1601
-    for _ in range(2):
-        grid = np.linspace(lo, hi, points)
-        i = int(np.argmin(objective(grid)))
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, points - 1)])
-    grid = np.linspace(lo, hi, points)
-    values = objective(grid)
-    i = int(np.argmin(values))
-    i = min(max(i, 1), points - 2)
-    g0, g1, g2 = grid[i - 1 : i + 2].tolist()
-    j0, j1, j2 = values[i - 1 : i + 2].tolist()
-    num = (g1 - g0) * (g1 - g0) * (j1 - j2) - (g1 - g2) * (g1 - g2) * (j1 - j0)
-    den = (g1 - g0) * (j1 - j2) - (g1 - g2) * (j1 - j0)
-    # near the minimum the three values differ by rounding alone, and their
-    # parabola can put the vertex far outside the bracket; keep it inside
-    u = g1 if den == 0.0 else min(max(g1 - 0.5 * num / den, g0), g2)
-    action = scale * u
-    if not math.isfinite(action):
-        raise ValueError(
-            f"forecast_value {f!r} with t_cost {t!r} gives an action past the float range"
-        )
-    return action

@@ -1,10 +1,12 @@
 """End-to-end coverage of the command-line front end."""
 
 import csv
+import inspect
 import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -1430,24 +1432,45 @@ class TestClosedPipe:
 
 
 # the names the package exported when its __init__ listed them one by one,
-# but BracketFailure, which went with the oracle's golden-section search, and
-# ConditionalForecastSpec and MissingMenu, which went when the conditional
-# functions came to take their values as arguments
+# less the names that have gone since (REMOVED): BracketFailure with the
+# oracle's golden-section search, ConditionalForecastSpec and MissingMenu when
+# the conditional functions came to take their values as arguments, and six
+# functions that only their own tests called
 EXPORTED = (
     "__version__ FeedbackcastError DegenerateConjecture "
     "DegenerateEquilibrium InsufficientData MomentMatchInfeasible "
     "NoEquilibrium ParseError SchemaError SingularDenominator SingularMZ "
     "WindowTooLarge ZeroVariance TAYLOR_RULE BiasLine "
     "EquilibriumSolution LinearRule ModelParams MseSplit MZLine bias_line "
-    "conditional_bias_and_mz conditional_forecast constrained_dm_choice "
-    "dm_optimal_action equilibrium_bias_and_mz mse_decomposition mz_line "
-    "optimal_forecast reaction_from_conjecture solve_equilibria unbiased_rule "
+    "conditional_bias_and_mz constrained_dm_choice "
+    "equilibrium_bias_and_mz mse_decomposition mz_line "
+    "optimal_forecast solve_equilibria "
     "BestResponseTrace BiasFit MzFit PolicyShockSpec SimulationOutput "
     "SimulationRun SimulationSummary StateNoiseSpec best_response_iteration "
     "ols_mz play_game sample_policy_shock OracleConfig exact_mse_minimizer "
-    "grid_action_minimizer mc_mse_minimizer ForecastSeries RollingResult "
-    "ingest_csv moving_average_bias rolling_mz"
+    "mc_mse_minimizer ForecastSeries RollingResult "
+    "ingest_csv rolling_mz"
 ).split()
+
+# (layer module, name) for each public name that has gone
+REMOVED = [
+    ("errors", "BracketFailure"),
+    ("model", "ConditionalForecastSpec"),
+    ("errors", "MissingMenu"),
+    ("oracle", "grid_action_minimizer"),
+    ("evaluate", "moving_average_bias"),
+    ("model", "unbiased_rule"),
+    ("model", "dm_optimal_action"),
+    ("model", "reaction_from_conjecture"),
+    ("model", "conditional_forecast"),
+]
+
+# public functions that no user path calls, each kept as a reference that a
+# test checks other code against
+REFERENCE_ONLY = {
+    "constrained_dm_choice": "test_agrees_with_the_menu_kernel checks kernels.menu_play against it",
+    "conditional_bias_and_mz": "the closed form acceptance criterion 8 checks",
+}
 
 
 class TestImport:
@@ -1459,18 +1482,38 @@ class TestImport:
         assert out.strip() == "[]"
 
     def test_every_exported_name_imports(self):
-        assert len(EXPORTED) == 53
+        assert len(EXPORTED) == 47
         assert set(EXPORTED) <= set(feedbackcast.__all__)
         assert len(set(feedbackcast.__all__)) == len(feedbackcast.__all__)
         for name in feedbackcast.__all__:
             assert hasattr(feedbackcast, name), name
 
-    def test_bracket_failure_is_gone(self):
-        import feedbackcast.errors
+    @pytest.mark.parametrize("layer,name", REMOVED, ids=[name for _, name in REMOVED])
+    def test_removed_names_stay_gone(self, layer, name):
+        assert name not in feedbackcast.__all__
+        assert not hasattr(feedbackcast, name)
+        assert not hasattr(getattr(feedbackcast, layer), name)
 
-        assert "BracketFailure" not in feedbackcast.__all__
-        assert not hasattr(feedbackcast, "BracketFailure")
-        assert not hasattr(feedbackcast.errors, "BracketFailure")
+    def test_every_public_function_has_a_user_path(self):
+        # a user path names the function outside its own module: in another
+        # layer (cli.py among them), in the benchmark, or in the README
+        root = Path(__file__).parent.parent
+        modules = {
+            p.stem: p.read_text(encoding="utf-8")
+            for p in Path(feedbackcast.__file__).parent.glob("*.py")
+        }
+        outside = [(root / "README.md").read_text(encoding="utf-8")]
+        outside += [p.read_text(encoding="utf-8") for p in (root / "perfbench").glob("*.py")]
+        unreached = set()
+        for name in feedbackcast.__all__:
+            value = getattr(feedbackcast, name)
+            if not inspect.isfunction(value):
+                continue
+            home = value.__module__.rsplit(".", 1)[1]
+            texts = outside + [t for stem, t in modules.items() if stem not in (home, "__init__")]
+            if not any(re.search(rf"\b{name}\b", text) for text in texts):
+                unreached.add(name)
+        assert unreached == set(REFERENCE_ONLY)
 
     def test_cli_import_loads_every_layer_but_not_numpy(self):
         # the layers are loaded before main runs, so code that wraps their

@@ -17,7 +17,6 @@ from feedbackcast.errors import (
 from feedbackcast.evaluate import (
     ForecastSeries,
     ingest_csv,
-    moving_average_bias,
     rolling_mz,
 )
 from feedbackcast.simulate import ols_mz
@@ -136,12 +135,10 @@ def _errors_overflow():
 
 
 def _window_sum_overflows():
-    """Finite errors, 40 of which sum past the float range."""
-    rng = np.random.default_rng(17)
-    series = _labelled(
-        -0.44e307 * (1.0 + 1e-3 * rng.random(40)),
-        0.44e307 * (1.0 + 1e-3 * rng.random(40)),
-    )
+    """Finite errors, 40 of which sum past the float range. The forecasts
+    and realizations are constant, so the fit's own sums stay finite and
+    only the sum behind the mean_error column overflows."""
+    series = _labelled(np.full(40, -0.44e307), np.full(40, 0.44e307))
     assert np.isfinite(series.errors).all()
     return series, 40
 
@@ -240,6 +237,14 @@ class TestRollingMz:
             yw = ys[w : w + window]
             assert result.mean_error[w] == pytest.approx(float((yw - xw).mean()), rel=1e-12)
 
+    @pytest.mark.parametrize("build", [_errors_overflow, _window_sum_overflows])
+    def test_error_means_past_the_float_range_raise(self, build):
+        series, window = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflowed the float range"):
+                rolling_mz(series, window)
+
     def test_overflow_in_the_last_workers_run_raises(self, monkeypatch, started_threads):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         series = _random_series(3 * (kernels._CHUNK_ELEMS // 40), seed=6)
@@ -334,54 +339,3 @@ class TestConstantForecasts:
         ys = np.random.default_rng(4).normal(0.0, 1.0, forecasts.size)
         flat = kernels.rolling_ols(forecasts, ys, 40)[5].astype(bool)
         assert np.flatnonzero(flat).tolist() == [10]
-
-class TestMovingAverageBias:
-    def test_constant_errors(self):
-        n = 6
-        series = ForecastSeries(
-            periods=tuple(f"t{i}" for i in range(n)),
-            forecast=np.arange(n, dtype=float),
-            realization=np.arange(n, dtype=float) + 0.5,
-        )
-        points = moving_average_bias(series, window=3)
-        assert [label for label, _ in points] == ["t2", "t3", "t4", "t5"]
-        assert all(value == pytest.approx(0.5, abs=1e-12) for _, value in points)
-
-    def test_window_one_returns_raw_errors(self):
-        series = _random_series(5, seed=9)
-        points = moving_average_bias(series, window=1)
-        errors = series.realization - series.forecast
-        assert np.array_equal([v for _, v in points], errors)
-
-    def test_agrees_with_the_rolling_fit_column(self):
-        series = _random_series(60, seed=11)
-        result = rolling_mz(series, window=15)
-        points = moving_average_bias(series, window=15)
-        assert list(result.window_end) == [label for label, _ in points]
-        assert np.array_equal(result.mean_error, [v for _, v in points])
-
-    def test_flat_window_has_a_mean_error(self):
-        # rolling_mz refuses the flat first window; its error mean is still
-        # defined, and this is the path rolling_mz's column comes from
-        series = _labelled(
-            np.array([1.0, 1.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        )
-        with pytest.raises(ZeroVariance):
-            rolling_mz(series, window=3)
-        assert moving_average_bias(series, window=3)[0][1] == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("build", [_errors_overflow, _window_sum_overflows])
-    def test_error_means_past_the_float_range_raise(self, build):
-        series, window = build()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for diagnostic in (moving_average_bias, rolling_mz):
-                with pytest.raises(ValueError, match="overflowed the float range"):
-                    diagnostic(series, window)
-
-    def test_validation(self):
-        series = _random_series(5)
-        with pytest.raises(ValueError):
-            moving_average_bias(series, window=0)
-        with pytest.raises(WindowTooLarge):
-            moving_average_bias(series, window=6)

@@ -20,16 +20,12 @@ from feedbackcast.model import (
     MseSplit,
     bias_line,
     conditional_bias_and_mz,
-    conditional_forecast,
     constrained_dm_choice,
-    dm_optimal_action,
     equilibrium_bias_and_mz,
     mse_decomposition,
     mz_line,
     optimal_forecast,
-    reaction_from_conjecture,
     solve_equilibria,
-    unbiased_rule,
 )
 
 P_BASE = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=2.0)
@@ -82,77 +78,6 @@ class TestParams:
     def test_taylor_rule_constant(self):
         assert TAYLOR_RULE.intercept == 0.0
         assert TAYLOR_RULE.slope == 1.0
-
-
-class TestDmAction:
-    def test_direct_substitution(self):
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=2.0)
-        assert dm_optimal_action(0.5, 1.0, p) == 0.5
-
-    def test_on_target_means_no_action(self):
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=-3.0)
-        for x in (0.1, 1.0, 7.3):
-            assert dm_optimal_action(x, p.y_target, p) == 0.0
-
-    def test_cost_one_halves_the_gap(self):
-        # x = 1/(1+t) with t = 1
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=2.0)
-        assert dm_optimal_action(1.0 / (1.0 + 1.0), 0.0, p) == 1.0
-
-    def test_nonpositive_strength_rejected(self):
-        p = ModelParams(mu=1.0, tau2=0.0)
-        with pytest.raises(ValueError):
-            dm_optimal_action(0.0, 1.0, p)
-        with pytest.raises(ValueError):
-            dm_optimal_action(-1.0, 1.0, p)
-
-
-class TestReaction:
-    def test_taylor_case(self):
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=2.0)
-        assert reaction_from_conjecture(0.5, TAYLOR_RULE, 1.0, p) == 0.5
-
-    def test_general_conjecture(self):
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=0.0)
-        assert reaction_from_conjecture(1.0, LinearRule(1.0, 2.0), 3.0, p) == -1.0
-
-    def test_matches_dm_action_at_implied_state(self):
-        p = ModelParams(mu=0.7, tau2=0.05, y_target=1.5)
-        cj = LinearRule(0.4, -1.2)
-        f = 2.3
-        implied = (f - cj.intercept) / cj.slope
-        assert reaction_from_conjecture(0.9, cj, f, p) == pytest.approx(
-            dm_optimal_action(0.9, implied, p), rel=1e-15
-        )
-
-    def test_implied_target_point_is_inert(self):
-        p = ModelParams(mu=1.0, tau2=0.0, y_target=2.0)
-        cj = LinearRule(0.3, 1.7)
-        f = cj.slope * p.y_target + cj.intercept
-        assert reaction_from_conjecture(0.8, cj, f, p) == 0.0
-
-    def test_zero_slope_conjecture_rejected(self):
-        p = ModelParams(mu=1.0, tau2=0.0)
-        with pytest.raises(DegenerateConjecture):
-            reaction_from_conjecture(1.0, LinearRule(0.0, 0.0), 1.0, p)
-
-    def test_equals_the_written_out_reaction_bit_for_bit(self):
-        # a(f) = x * (y_target - (f - b)/c), the reaction's own formula
-        rng = np.random.default_rng(20231018)
-        for _ in range(2000):
-            x = rng.uniform(0.01, 3.0)
-            b, f, y_target = rng.normal(0.0, 10.0, 3)
-            c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
-            p = ModelParams(mu=1.0, tau2=0.0, y_target=y_target)
-            want = x * (y_target - (f - b) / c)
-            assert reaction_from_conjecture(x, LinearRule(b, c), f, p) == want
-
-    def test_overflow_to_an_infinite_action_raises(self):
-        p = ModelParams(mu=1.0, tau2=0.0)
-        with pytest.raises(ValueError, match="must be finite"):
-            reaction_from_conjecture(0.5, LinearRule(0.0, 1e-308), 1e10, p)
-        with pytest.raises(ValueError, match="must be finite"):
-            dm_optimal_action(1e300, -1e300, p)
 
 
 class TestOptimalForecast:
@@ -359,11 +284,12 @@ class TestMseDecomposition:
             assert split.variance_term == 1.0
 
     def test_unbiased_rule_kills_the_bias_term(self):
+        # f = (theta + mu * (y_target + b/c)) * c / (mu + c) has zero bias
         cj = LinearRule(0.3, 1.4)
-        rule = unbiased_rule(cj, P_BASE)
-        assert rule.slope == pytest.approx(cj.slope / (P_BASE.mu + cj.slope), rel=1e-15)
+        b, c, mu = cj.intercept, cj.slope, P_BASE.mu
         for theta in (-2.0, 0.5, 3.0):
-            split = mse_decomposition(rule(theta), theta, cj, P_BASE)
+            f = (theta + mu * (P_BASE.y_target + b / c)) * c / (mu + c)
+            split = mse_decomposition(f, theta, cj, P_BASE)
             assert split.bias_sq_term < 1e-24
 
     def test_total_matches_expanded_quadratic(self):
@@ -389,17 +315,7 @@ class TestMseDecomposition:
             mse_decomposition(0.0, 0.0, LinearRule(1.0, 0.0), P_BASE)
 
 
-class TestUnbiasedRule:
-    def test_singular_when_reaction_cancels_slope(self):
-        with pytest.raises(SingularMZ):
-            unbiased_rule(LinearRule(0.0, -0.5), ModelParams(mu=0.5, tau2=0.1))
-
-
 class TestConditional:
-    def test_forecast_is_theta_plus_action(self):
-        assert conditional_forecast(1.0, 0.0) == 1.0
-        assert conditional_forecast(1.0, 0.25) == 1.25
-
     def test_rational_dm_bias(self):
         # conjecture b = a0, c = 1 gives bias -a0 + mu * (y_target - theta)
         p = ModelParams(mu=0.8, tau2=0.1, y_target=2.0)
@@ -434,8 +350,6 @@ class TestConditional:
             constrained_dm_choice(1.0, 2.0, (0.0, 1.0), -1.0, p)
         with pytest.raises(ValueError):
             constrained_dm_choice(1.0, 2.0, (0.0, 1.0, 2.0), 1.0, p)
-        with pytest.raises(ValueError):
-            conditional_forecast(1.0, math.nan)
         with pytest.raises(ValueError):
             conditional_bias_and_mz(math.nan, TAYLOR_RULE, p)
 

@@ -12,13 +12,11 @@ from feedbackcast.model import (
     TAYLOR_RULE,
     LinearRule,
     ModelParams,
-    dm_optimal_action,
     optimal_forecast,
 )
 from feedbackcast.oracle import (
     OracleConfig,
     exact_mse_minimizer,
-    grid_action_minimizer,
     mc_mse_minimizer,
 )
 from feedbackcast.simulate import PolicyShockSpec, sample_policy_shock
@@ -268,60 +266,3 @@ class TestMcMinimizer:
         bad = PolicyShockSpec(family="beta_scaled", target_mean=0.6, target_var=0.1)
         with pytest.raises(ValueError):
             mc_mse_minimizer(1.0, TAYLOR_RULE, params, bad, OracleConfig())
-
-
-class TestGridActionMinimizer:
-    P = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
-
-    def test_costless_dm_closes_the_gap(self):
-        # forecast implying state 1 under the Taylor conjecture
-        a = grid_action_minimizer(1.0, 0.0, TAYLOR_RULE, self.P)
-        assert a == pytest.approx(1.0, abs=1e-6)
-
-    def test_unit_cost_halves_the_gap(self):
-        a = grid_action_minimizer(1.0, 1.0, TAYLOR_RULE, self.P)
-        assert a == pytest.approx(0.5, abs=1e-6)
-
-    def test_prohibitive_cost_freezes_the_dm(self):
-        a = grid_action_minimizer(1.0, 1e9, TAYLOR_RULE, self.P)
-        assert a == pytest.approx(0.0, abs=1e-6)
-
-    def test_agrees_with_the_closed_form_action(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            t = float(rng.uniform(-0.5, 4.0))
-            conjecture = LinearRule(
-                float(rng.uniform(-1.0, 1.0)),
-                float(rng.uniform(0.5, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0),
-            )
-            params = ModelParams(
-                mu=0.5, tau2=0.1, y_target=float(rng.uniform(-2.0, 2.0))
-            )
-            f = float(rng.uniform(-4.0, 4.0))
-            implied = (f - conjecture.intercept) / conjecture.slope
-            want = dm_optimal_action(1.0 / (1.0 + t), implied, params)
-            got = grid_action_minimizer(f, t, conjecture, params)
-            assert got == pytest.approx(want, abs=1e-6)
-
-    @pytest.mark.parametrize("f", [1e150, 1e160, 1e200, 1e300, -8e307])
-    def test_large_forecasts_match_the_closed_form(self, f):
-        # the implied state is past 1e150, where the squared action overflows
-        for t in (-0.5, 0.0, 0.5, 4.0):
-            want = dm_optimal_action(1.0 / (1.0 + t), f, self.P)
-            got = grid_action_minimizer(f, t, TAYLOR_RULE, self.P)
-            assert abs(got - want) <= 1e-7 * (abs(self.P.y_target - f) + 1.0)
-
-    @pytest.mark.parametrize(
-        "f,t,conjecture",
-        [(1e300, 0.5, LinearRule(0.0, 1e-10)), (1.7e308, -0.9, TAYLOR_RULE)],
-        ids=["implied-state", "action"],
-    )
-    def test_values_past_the_float_range_are_rejected_by_name(self, f, t, conjecture):
-        with pytest.raises(ValueError, match="forecast_value"):
-            grid_action_minimizer(f, t, conjecture, ModelParams(mu=0.5, tau2=0.1))
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            grid_action_minimizer(1.0, -1.0, TAYLOR_RULE, self.P)
-        with pytest.raises(DegenerateConjecture):
-            grid_action_minimizer(1.0, 0.5, LinearRule(1.0, 0.0), self.P)

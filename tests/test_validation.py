@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from feedbackcast.errors import DegenerateConjecture, FeedbackcastError
-from feedbackcast.evaluate import ForecastSeries, moving_average_bias, rolling_mz
+from feedbackcast.evaluate import ForecastSeries, rolling_mz
 from feedbackcast.model import (
     TAYLOR_RULE,
     BiasLine,
@@ -24,20 +24,15 @@ from feedbackcast.model import (
     MZLine,
     bias_line,
     conditional_bias_and_mz,
-    conditional_forecast,
     constrained_dm_choice,
-    dm_optimal_action,
     mse_decomposition,
     mz_line,
     optimal_forecast,
-    reaction_from_conjecture,
     solve_equilibria,
-    unbiased_rule,
 )
 from feedbackcast.oracle import (
     OracleConfig,
     exact_mse_minimizer,
-    grid_action_minimizer,
     mc_mse_minimizer,
 )
 from feedbackcast.simulate import (
@@ -80,7 +75,6 @@ FLOAT_ARGS = [
     ("slope", lambda v: MZLine(0.0, v)),
     ("coef_theta", lambda v: BiasLine(v, 0.0)),
     ("coef_const", lambda v: BiasLine(0.0, v)),
-    ("assumed_action", lambda v: conditional_forecast(0.0, v)),
     ("assumed_action", lambda v: conditional_bias_and_mz(v, TAYLOR_RULE, P)),
     ("menu[0]", lambda v: constrained_dm_choice(0.0, 0.0, (v, 1.0), 0.5, P)),
     ("t_cost", lambda v: constrained_dm_choice(0.0, 0.0, (0.0, 1.0), v, P)),
@@ -93,18 +87,12 @@ FLOAT_ARGS = [
                                       dm_applies_assumed=True)),
     ("menu[1]", lambda v: _menu_run((0.0, v))),
     ("tolerance", lambda v: OracleConfig(tolerance=v)),
-    ("x", lambda v: dm_optimal_action(v, 0.0, P)),
-    ("expected_state", lambda v: dm_optimal_action(0.5, v, P)),
-    ("forecast_value", lambda v: reaction_from_conjecture(0.5, TAYLOR_RULE, v, P)),
     ("forecast", lambda v: mse_decomposition(v, 0.0, TAYLOR_RULE, P)),
     ("theta", lambda v: mse_decomposition(0.0, v, TAYLOR_RULE, P)),
-    ("theta", lambda v: conditional_forecast(v, 0.5)),
     ("f0", lambda v: constrained_dm_choice(v, 0.0, (0.0, 1.0), 0.5, P)),
     ("f1", lambda v: constrained_dm_choice(0.0, v, (0.0, 1.0), 0.5, P)),
     ("theta", lambda v: exact_mse_minimizer(v, TAYLOR_RULE, P)),
     ("theta", lambda v: mc_mse_minimizer(v, TAYLOR_RULE, P, SHOCK, CFG)),
-    ("forecast_value", lambda v: grid_action_minimizer(v, 0.5, TAYLOR_RULE, P)),
-    ("t_cost", lambda v: grid_action_minimizer(1.0, v, TAYLOR_RULE, P)),
     ("tol", lambda v: best_response_iteration(TAYLOR_RULE, P, tol=v)),
 ]
 
@@ -112,7 +100,6 @@ FLOAT_ARGS = [
 POSITIVE_ARGS = [
     ("mu", lambda v: ModelParams(mu=v, tau2=0.1)),
     ("sigma2", lambda v: ModelParams(mu=0.5, tau2=0.1, sigma2=v)),
-    ("x", lambda v: dm_optimal_action(v, 0.0, P)),
     ("target_mean", lambda v: PolicyShockSpec("beta_scaled", v, 0.1)),
     ("noise_var", lambda v: StateNoiseSpec(noise_var=v)),
     ("tolerance", lambda v: OracleConfig(tolerance=v)),
@@ -126,7 +113,6 @@ INT_ARGS = [
     ("seed", lambda v: OracleConfig(seed=v)),
     ("n", lambda v: sample_policy_shock(SHOCK, v, 0)),
     ("window", lambda v: rolling_mz(SERIES, v)),
-    ("window", lambda v: moving_average_bias(SERIES, v)),
     ("max_iter", lambda v: best_response_iteration(TAYLOR_RULE, P, max_iter=v)),
     ("equilibrium index", lambda v: solve_equilibria(P).rule(v)),
     ("equilibrium_index", lambda v: _run(scenario="equilibrium", equilibrium_index=v)),
@@ -141,9 +127,7 @@ PAIR_ARGS = [
 ]
 
 FLAT_CONJECTURE = [
-    lambda: reaction_from_conjecture(0.5, FLAT, 1.0, P),
     lambda: optimal_forecast(FLAT, P),
-    lambda: unbiased_rule(FLAT, P),
     lambda: bias_line(FLAT, P),
     lambda: mz_line(FLAT, P),
     lambda: mse_decomposition(1.0, 0.0, FLAT, P),
@@ -152,7 +136,6 @@ FLAT_CONJECTURE = [
     lambda: best_response_iteration(FLAT, P),
     lambda: exact_mse_minimizer(0.0, FLAT, P),
     lambda: mc_mse_minimizer(0.0, FLAT, P, SHOCK, CFG),
-    lambda: grid_action_minimizer(1.0, 0.5, FLAT, P),
 ]
 
 
@@ -237,7 +220,6 @@ def test_flat_conjecture_is_degenerate(call):
     "call",
     [
         lambda t: constrained_dm_choice(0.0, 0.0, (0.0, 1.0), t, P),
-        lambda t: grid_action_minimizer(1.0, t, TAYLOR_RULE, P),
     ],
 )
 def test_t_cost_must_exceed_minus_one(call):
