@@ -151,6 +151,17 @@ class TestRollingMz:
         assert result.window == 3
         assert result.window_end == ("p0002", "p0003")
 
+    def test_constant_errors_give_a_constant_mean_error(self):
+        n = 6
+        series = ForecastSeries(
+            periods=tuple(f"t{i}" for i in range(n)),
+            forecast=np.arange(n, dtype=float),
+            realization=np.arange(n, dtype=float) + 0.5,
+        )
+        result = rolling_mz(series, window=3)
+        assert result.window_end == ("t2", "t3", "t4", "t5")
+        assert result.mean_error.tolist() == pytest.approx([0.5] * 4, abs=1e-12)
+
     def test_full_window_matches_the_plain_fit(self):
         series = _random_series(50, seed=3)
         result = rolling_mz(series, window=50)

@@ -4,6 +4,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +69,73 @@ class TestReactPlayValues:
         assert np.array_equal(action, x * (2.0 - forecast))
         assert np.array_equal(outcome, theta + action + eps)
         assert np.array_equal(error, outcome - forecast)
+
+    # The DM reads the state (f - b)/c off forecast f through its conjecture
+    # (b, c) and takes a = x * (y_target - (f - b)/c), where x = 1/(1 + t)
+    # for action cost t. The rule (d, e) = (f, 0) publishes f whatever theta.
+
+    @staticmethod
+    def _action(f, x, b, c, y_target):
+        n = np.size(x)
+        return kernels.react_play(
+            np.zeros(n), np.broadcast_to(x, n), np.zeros(n), f, 0.0, b, c, y_target
+        )[1]
+
+    def test_taylor_conjecture_reads_the_forecast_as_the_state(self):
+        assert self._action(1.0, 0.5, 0.0, 1.0, 2.0)[0] == 0.5
+
+    def test_general_conjecture(self):
+        assert self._action(3.0, 1.0, 1.0, 2.0, 0.0)[0] == -1.0
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 7.3])
+    def test_on_target_means_no_action(self, x):
+        assert self._action(-3.0, x, 0.0, 1.0, -3.0)[0] == 0.0
+
+    def test_implied_target_point_is_inert(self):
+        # f = c * y_target + b implies the state y_target
+        b, c, y_target = 0.3, 1.7, 2.0
+        assert self._action(c * y_target + b, 0.8, b, c, y_target)[0] == 0.0
+
+    def test_unit_cost_halves_the_gap(self):
+        assert self._action(0.0, 1.0 / (1.0 + 1.0), 0.0, 1.0, 2.0)[0] == 1.0
+
+    def test_prohibitive_cost_freezes_the_dm(self):
+        assert abs(self._action(1.0, 1.0 / (1.0 + 1e9), 0.0, 1.0, 2.0)[0]) < 1e-8
+
+    def test_equals_the_written_out_reaction_bit_for_bit(self):
+        rng = np.random.default_rng(20231018)
+        for _ in range(200):
+            xs = rng.uniform(0.01, 3.0, 10)
+            b, f, y_target = rng.normal(0.0, 10.0, 3)
+            c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = self._action(f, xs, b, c, y_target)
+            want = [float(x) * (float(y_target) - (float(f) - float(b)) / float(c)) for x in xs]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("b,c", [(0.0, 1.0), (0.4, -1.2)], ids=["taylor", "general"])
+    def test_action_minimizes_the_dms_loss(self, t, b, c):
+        # the DM minimizes (state + a - y_target)**2 + t * a**2 over a; on a
+        # grid centred on the kernel's action, the centre costs the least
+        rng = np.random.default_rng(17)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        for f, y_target in rng.uniform(-4.0, 4.0, (10, 2)):
+            action = self._action(f, 1.0 / (1.0 + t), b, c, y_target)[0]
+            a = action + grid
+            loss = ((f - b) / c + a - y_target) ** 2 + t * a * a
+            assert np.argmin(loss) == 1000
+
+    @pytest.mark.parametrize("f", [1e150, 1e160, 1e200, 1e300, -8e307])
+    def test_large_forecasts_match_exact_arithmetic(self, f):
+        y_target = 2.0
+        for t in (-0.5, 0.0, 0.5, 4.0):
+            x = 1.0 / (1.0 + t)
+            # at -8e307 the error column overflows, which the play's float
+            # range guard reports; only the action is read here
+            with np.errstate(over="ignore"):
+                got = self._action(f, x, 0.0, 1.0, y_target)[0]
+            want = Fraction(x) * (Fraction(y_target) - Fraction(f))
+            assert abs(Fraction(got) - want) <= 2 * Fraction(np.finfo(float).eps) * abs(want)
 
 
 class TestMenuPlayValues:

@@ -382,6 +382,18 @@ class TestConstrainedChoice:
         with pytest.raises(ValueError, match="overflow"):
             constrained_dm_choice(1e200, -1e200, (0.0, 1.0), 0.5, p)
 
+    @pytest.mark.parametrize("t", [-0.5, 0.0, 1.0, 99.0])
+    @pytest.mark.parametrize("menu", [(0.0, 1.0), (-0.5, 0.5)])
+    def test_takes_the_action_that_costs_less(self, menu, t):
+        # the costs written out: (f_i - y_target)**2 + t * a_i**2
+        rng = np.random.default_rng(23)
+        p = ModelParams(mu=0.5, tau2=0.1, y_target=2.0)
+        for theta in rng.normal(2.0, 1.5, 200).tolist():
+            f0, f1 = theta + menu[0], theta + menu[1]
+            cost = [(f - p.y_target) ** 2 + t * a * a for f, a in zip((f0, f1), menu)]
+            if cost[0] != cost[1]:
+                assert constrained_dm_choice(f0, f1, menu, t, p) == cost.index(min(cost))
+
     @pytest.mark.parametrize(
         "menu", [(0.0, 0.5), (-0.5, 0.5), (1.0, -2.0), (1e200, 0.0), (1e308, 1.0)]
     )

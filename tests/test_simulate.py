@@ -398,6 +398,20 @@ class TestPlayGame:
         assert np.array_equal(out.forecast, out.theta + 0.25)
         assert not (out.action == 0.25).all()
 
+    def test_an_action_past_the_float_range_raises(self):
+        # the DM reads a state of about 1e10 / 1e-308 off the forecast
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=2.0)
+        shock = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
+        run = SimulationRun(
+            draw_count=10,
+            seed=4,
+            scenario="conditional",
+            conjecture=LinearRule(0.0, 1e-308),
+            assumed_action=1e10,
+        )
+        with pytest.raises(ValueError, match="the game's values overflowed the float range"):
+            play_game(run, shock, StateNoiseSpec(), params)
+
     def test_menu_choices_match_the_deterministic_rule(self):
         params = ModelParams(mu=0.5, tau2=0.1, sigma2=1.0, y_target=2.0)
         shock = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)

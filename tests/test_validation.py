@@ -77,6 +77,7 @@ FLOAT_ARGS = [
     ("coef_const", lambda v: BiasLine(0.0, v)),
     ("assumed_action", lambda v: conditional_bias_and_mz(v, TAYLOR_RULE, P)),
     ("menu[0]", lambda v: constrained_dm_choice(0.0, 0.0, (v, 1.0), 0.5, P)),
+    ("menu[1]", lambda v: constrained_dm_choice(0.0, 0.0, (0.0, v), 0.5, P)),
     ("t_cost", lambda v: constrained_dm_choice(0.0, 0.0, (0.0, 1.0), v, P)),
     ("target_mean", lambda v: PolicyShockSpec("beta_scaled", v, 0.1)),
     ("target_var", lambda v: PolicyShockSpec("beta_scaled", 0.5, v)),
@@ -85,6 +86,7 @@ FLOAT_ARGS = [
     ("noise_var", lambda v: StateNoiseSpec(noise_var=v)),
     ("assumed_action", lambda v: _run(scenario="conditional", assumed_action=v,
                                       dm_applies_assumed=True)),
+    ("menu[0]", lambda v: _menu_run((v, 1.0))),
     ("menu[1]", lambda v: _menu_run((0.0, v))),
     ("tolerance", lambda v: OracleConfig(tolerance=v)),
     ("forecast", lambda v: mse_decomposition(v, 0.0, TAYLOR_RULE, P)),
@@ -106,6 +108,15 @@ POSITIVE_ARGS = [
     ("tol", lambda v: best_response_iteration(TAYLOR_RULE, P, tol=v)),
 ]
 
+# arguments that may be zero but not negative
+NONNEGATIVE_ARGS = [
+    ("tau2", lambda v: ModelParams(mu=0.5, tau2=v)),
+    ("target_var", lambda v: PolicyShockSpec("degenerate", 0.5, v)),
+    ("theta_var", lambda v: StateNoiseSpec(theta_var=v)),
+    ("support lower bound",
+     lambda v: PolicyShockSpec("truncated_normal", 0.5, 0.1, support=(v, math.inf))),
+]
+
 INT_ARGS = [
     ("draw_count", lambda v: _run(draw_count=v)),
     ("seed", lambda v: _run(seed=v)),
@@ -116,6 +127,12 @@ INT_ARGS = [
     ("max_iter", lambda v: best_response_iteration(TAYLOR_RULE, P, max_iter=v)),
     ("equilibrium index", lambda v: solve_equilibria(P).rule(v)),
     ("equilibrium_index", lambda v: _run(scenario="equilibrium", equilibrium_index=v)),
+]
+
+# each INT_ARGS row with the least value its argument takes
+INT_MINIMUMS = [
+    (name, call, least)
+    for (name, call), least in zip(INT_ARGS, [1, 0, 10_000, 0, 1, 3, 1, 1, 1], strict=True)
 ]
 
 PAIR_ARGS = [
@@ -133,6 +150,7 @@ FLAT_CONJECTURE = [
     lambda: mse_decomposition(1.0, 0.0, FLAT, P),
     lambda: conditional_bias_and_mz(0.5, FLAT, P),
     lambda: _run(scenario="conjecture_rule", conjecture=FLAT),
+    lambda: _run(scenario="conditional", assumed_action=0.5, conjecture=FLAT),
     lambda: best_response_iteration(FLAT, P),
     lambda: exact_mse_minimizer(0.0, FLAT, P),
     lambda: mc_mse_minimizer(0.0, FLAT, P, SHOCK, CFG),
@@ -163,6 +181,26 @@ def test_non_positive_value_is_rejected_by_name(name, call, value):
     _rejects(call, value, name)
 
 
+@pytest.mark.parametrize("value", [-1.0, -5e-324])
+@pytest.mark.parametrize("name,call", NONNEGATIVE_ARGS)
+def test_negative_value_is_rejected_by_name(name, call, value):
+    _rejects(call, value, name)
+
+
+@pytest.mark.parametrize("name,call", NONNEGATIVE_ARGS)
+def test_zero_is_accepted_where_nonnegative(name, call):
+    assert call(0.0) is not None
+
+
+# target_mean is left out: a mean at the subnormal floor leaves no room for
+# its variance inside the support
+@pytest.mark.parametrize(
+    "name,call", [(name, call) for name, call in POSITIVE_ARGS if name != "target_mean"]
+)
+def test_smallest_positive_value_is_accepted(name, call):
+    assert call(5e-324) is not None
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, np.float64(3.7)])
 @pytest.mark.parametrize("name,call", INT_ARGS)
 def test_non_integral_count_is_rejected_by_name(name, call, value):
@@ -176,6 +214,12 @@ def test_integral_count_of_any_type_is_accepted(name, call, kind):
     assert call(kind(good)) is not None
 
 
+@pytest.mark.parametrize("name,call,least", INT_MINIMUMS)
+def test_count_below_its_least_value_is_rejected_by_name(name, call, least):
+    _rejects(call, least - 1, name)
+    assert call(least) is not None
+
+
 def test_integral_counts_are_stored_as_int():
     run = _run(draw_count=np.int64(7), seed=np.uint32(2))
     assert (run.draw_count, run.seed) == (7, 2)
@@ -185,7 +229,9 @@ def test_integral_counts_are_stored_as_int():
 
 
 @pytest.mark.parametrize(
-    "value", [(0.25, 0.75, 1.0), (0.25,), (), 0.5], ids=["three", "one", "empty", "scalar"]
+    "value",
+    [(0.25, 0.75, 1.0), (0.25,), (), 0.5, np.array([0.25, 0.75, 1.0])],
+    ids=["three", "one", "empty", "scalar", "array-of-three"],
 )
 @pytest.mark.parametrize("name,call", PAIR_ARGS)
 def test_pair_needs_exactly_two_values(name, call, value):
