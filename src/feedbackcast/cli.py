@@ -380,7 +380,7 @@ def cmd_simulate(ns) -> int:
             "draw_count": run.draw_count,
             "seed": run.seed,
             "params": asdict(params),
-            "shock": {**asdict(shock), "support": list(shock.bounds)},
+            "shock": asdict(shock),
             "state": asdict(state),
             "summary": {
                 "mean_error": s.mean_error,
@@ -448,23 +448,26 @@ def cmd_evaluate(ns) -> int:
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="feedbackcast", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    table: dict[str, _Parser] = {}
+    # the flags several subcommands share, each defined once
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--mu", type=float, required=True)
+    game.add_argument("--tau2", type=float, required=True)
+    game.add_argument("--ytarget", type=float, default=0.0)
+    game.add_argument("--sigma2", type=float, default=1.0)
+    game.add_argument("--b", type=float, default=None, help="conjecture intercept")
+    game.add_argument("--c", type=float, default=None, help="conjecture slope")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
     solve = subs.add_parser(
-        "solve", help="closed-form rules, equilibria, bias and MZ lines"
+        "solve", parents=[game, config], help="closed-form rules, equilibria, bias and MZ lines"
     )
-    solve.add_argument("--mu", type=float, required=True)
-    solve.add_argument("--tau2", type=float, required=True)
-    solve.add_argument("--ytarget", type=float, default=0.0)
-    solve.add_argument("--sigma2", type=float, default=1.0)
-    solve.add_argument("--b", type=float, default=None, help="conjecture intercept")
-    solve.add_argument("--c", type=float, default=None, help="conjecture slope")
-    solve.add_argument("--config", default=None)
     solve.set_defaults(func=cmd_solve)
-    table["solve"] = solve
 
     sweep = subs.add_parser(
-        "sweep", help="equilibrium MZ line over a (mu, tau2) grid"
+        "sweep", parents=[out, config], help="equilibrium MZ line over a (mu, tau2) grid"
     )
     sweep.add_argument("--mu", type=float, nargs="+", required=True)
     sweep.add_argument("--tau2-min", type=float, required=True)
@@ -472,26 +475,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--ytarget", type=float, default=0.0)
     sweep.add_argument("--clip", type=float, default=None, help="clamp slope/intercept to [-clip, clip]")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--config", default=None)
     sweep.set_defaults(func=cmd_sweep)
-    table["sweep"] = sweep
 
     sim = subs.add_parser(
-        "simulate", help="play the game and write draws + summary"
+        "simulate", parents=[game, config], help="play the game and write draws + summary"
     )
     sim.add_argument("--scenario", required=True, choices=SCENARIOS)
-    sim.add_argument("--mu", type=float, required=True)
-    sim.add_argument("--tau2", type=float, required=True)
-    sim.add_argument("--sigma2", type=float, default=1.0)
-    sim.add_argument("--ytarget", type=float, default=0.0)
     sim.add_argument("--theta-mean", type=float, default=0.0)
     sim.add_argument("--theta-var", type=float, default=1.0)
     sim.add_argument("--family", default="beta_scaled", choices=FAMILIES)
     sim.add_argument("--support-lo", type=float, default=None)
     sim.add_argument("--support-hi", type=float, default=None)
-    sim.add_argument("--b", type=float, default=None, help="conjecture intercept")
-    sim.add_argument("--c", type=float, default=None, help="conjecture slope")
     sim.add_argument("--a0", type=float, default=None, help="assumed action")
     sim.add_argument("--dm-applies-assumed", action="store_true")
     sim.add_argument("--menu", type=float, nargs=2, default=None, metavar=("A0", "A1"))
@@ -499,23 +493,18 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-prefix", required=True)
-    sim.add_argument("--config", default=None)
     sim.set_defaults(func=cmd_simulate)
-    table["simulate"] = sim
 
     ev = subs.add_parser(
-        "evaluate", help="rolling MZ regression over a forecast CSV"
+        "evaluate", parents=[out, config], help="rolling MZ regression over a forecast CSV"
     )
     ev.add_argument(
         "input", nargs="?", default=None, help="CSV with header period,forecast,realization"
     )
     ev.add_argument("--window", type=int, default=40)
-    ev.add_argument("--out", default=None)
-    ev.add_argument("--config", default=None)
     ev.set_defaults(func=cmd_evaluate)
-    table["evaluate"] = ev
 
-    return parser, table
+    return parser, subs.choices
 
 
 def _load_config_mapping(path: str) -> dict:

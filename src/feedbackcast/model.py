@@ -183,9 +183,17 @@ class EquilibriumSolution:
     exists: bool
     rules: tuple[LinearRule | None, LinearRule | None] = (None, None)
     slopes: tuple[float, float] | None = None
-    k_values: tuple[float, float] | None = None
     degenerate: tuple[bool, bool] = (False, False)
     repeated: bool = False
+
+    @property
+    def k_values(self) -> tuple[float, float] | None:
+        """The best-response constant k at each root: k = 1 - c, since
+        tau2 + s**2 = s there (1 + mu at the degenerate s = 0 root of
+        tau2 = 0, the limit along the root curve)."""
+        if self.slopes is None:
+            return None
+        return 1.0 - self.slopes[0], 1.0 - self.slopes[1]
 
     def rule(self, index: int = 1) -> LinearRule:
         """Return the equilibrium rule with 1-based ``index`` (default: root
@@ -230,11 +238,9 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
     A rule f = b + c*theta is self-confirming when ``optimal_forecast``
     against it returns the rule itself. Matching slopes forces
     tau2 + (mu + c)**2 = mu + c, a quadratic in s = mu + c with real roots
-    s = (1 +/- sqrt(1 - 4*tau2)) / 2 iff tau2 <= 1/4. The intercept then
-    follows from b = k * c * y_target / (1 - k).
-
-    1 - k is computed as c * s / (tau2 + s**2), which is algebraically equal
-    but does not lose precision to cancellation when k is close to 1.
+    s = (1 +/- sqrt(1 - 4*tau2)) / 2 iff tau2 <= 1/4. There the
+    best-response constant k = (tau2 + mu*s) / (tau2 + s**2) is 1 - c, and
+    matching intercepts gives b = k * c * y_target / (1 - k) = (1 - c) * y_target.
     """
     first = _first_root(params.mu, params.tau2)
     if first is None:
@@ -242,38 +248,18 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
 
     root, _, first_flat = first
     slopes = (0.5 - params.mu + 0.5 * root, 0.5 - params.mu - 0.5 * root)
-
-    rules: list[LinearRule | None] = []
-    ks: list[float] = []
-    degenerate: list[bool] = []
-    for c, flat in zip(slopes, (first_flat, slopes[1] == 0.0)):
-        s = params.mu + c
-        denom = params.tau2 + s * s
-        if denom == 0.0:
-            # the s = 0 root at tau2 = 0: every forecast is a best response
-            # against it, so no rule is pinned down; k gets its limit along
-            # the root curve as tau2 -> 0.
-            ks.append(1.0 + params.mu)
-            degenerate.append(True)
-            rules.append(None)
-            continue
-        k = (params.tau2 + params.mu * s) / denom
-        ks.append(k)
-        if flat:
-            degenerate.append(True)
-            rules.append(None)
-            continue
-        degenerate.append(False)
-        one_minus_k = c * s / denom
-        rules.append(LinearRule(intercept=k * c * params.y_target / one_minus_k, slope=c))
-
+    # tau2 + s**2 = 0 at the s = 0 root of tau2 = 0: every forecast is a best
+    # response against it, so no rule is pinned down
+    degenerate = tuple(
+        flat or params.tau2 + (params.mu + c) * (params.mu + c) == 0.0
+        for c, flat in zip(slopes, (first_flat, slopes[1] == 0.0))
+    )
+    rules = tuple(
+        None if flat else LinearRule(intercept=(1.0 - c) * params.y_target, slope=c)
+        for c, flat in zip(slopes, degenerate)
+    )
     return EquilibriumSolution(
-        exists=True,
-        rules=(rules[0], rules[1]),
-        slopes=slopes,
-        k_values=(ks[0], ks[1]),
-        degenerate=(degenerate[0], degenerate[1]),
-        repeated=root == 0.0,
+        exists=True, rules=rules, slopes=slopes, degenerate=degenerate, repeated=root == 0.0
     )
 
 

@@ -80,8 +80,11 @@ class PolicyShockSpec:
     Families: ``beta_scaled`` (Beta rescaled to a bounded support, default
     (0, 1)), ``truncated_normal`` (normal truncated to [lo, hi), default
     (0, inf), parent parameters solved numerically), and ``degenerate``
-    (point mass, requires zero variance, default support (0, inf)). Draws
-    are strictly positive in all families, as the game requires.
+    (point mass, requires zero variance, default support (0, inf)). After
+    construction ``support`` always holds the bounds, the family's default
+    when none was given, so a spec given its default support equals one
+    given none. Draws are strictly positive in all families, as the game
+    requires.
 
     Feasibility is checked here, so an infeasible pair never reaches
     sampling: after the support checks, the spec builds its sampler once,
@@ -102,8 +105,10 @@ class PolicyShockSpec:
         object.__setattr__(self, "target_mean", _require_positive("target_mean", self.target_mean))
         tv = _require_nonnegative("target_var", self.target_var)
         object.__setattr__(self, "target_var", tv)
-        if self.support is not None:
-            object.__setattr__(self, "support", _require_pair("support", self.support))
+        support = self.support
+        if support is None:
+            support = (0.0, 1.0) if self.family == "beta_scaled" else (0.0, math.inf)
+        object.__setattr__(self, "support", _require_pair("support", support))
 
         if self.family == "degenerate":
             if tv != 0.0:
@@ -112,7 +117,7 @@ class PolicyShockSpec:
             raise ValueError(
                 f"{self.family} requires target_var > 0; use the degenerate family"
             )
-        lo, hi = self.bounds
+        lo, hi = self.support
         _require_nonnegative("support lower bound", lo)
         if self.family == "beta_scaled" and not math.isfinite(hi):
             raise ValueError("beta_scaled requires a finite upper bound")
@@ -121,14 +126,6 @@ class PolicyShockSpec:
                 f"target_mean {self.target_mean} outside support ({lo}, {hi})"
             )
         _shock_sampler(self)
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        if self.support is not None:
-            return self.support
-        if self.family == "beta_scaled":
-            return 0.0, 1.0
-        return 0.0, math.inf
 
 
 def _beta_shape(mean: float, var: float, lo: float, hi: float) -> tuple[float, float]:
@@ -268,7 +265,7 @@ def _shock_sampler(spec: PolicyShockSpec):
             return out
 
         return fill
-    lo, hi = spec.bounds
+    lo, hi = spec.support
     # on the half-line, cap is the largest float, past every draw
     floor, cap = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if spec.family == "beta_scaled":
@@ -621,6 +618,10 @@ def _player(
     or raises.
     """
     _require_matching_shock(shock, params)
+    if not math.isclose(sn.noise_var, params.sigma2, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError(
+            f"noise variance {sn.noise_var} does not match params.sigma2 {params.sigma2}"
+        )
     draw_x = _shock_sampler(shock)
     # numpy raises where the play leaves the float range, rather than
     # warning and handing on inf or nan; the fits raise their own error
@@ -678,7 +679,8 @@ def play_game(
     """Play ``run.draw_count`` independent rounds of the game.
 
     The shock spec must target the same (mu, tau2) the forecaster optimizes
-    against; a mismatch would silently decouple the DM from the model being
+    against, and the state spec's noise variance must be params.sigma2; a
+    mismatch would silently decouple the game played from the model being
     verified, so it is rejected.
 
     The rounds are played in ``_PLAY_ROWS``-row blocks, as ``simulate``

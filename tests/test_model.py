@@ -1,6 +1,7 @@
 """Closed-form layer: formulas, equilibria, and their edge cases."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ def _near_zero_slope(count, seed):
             below = math.nextafter(below, 0.0)
             points += [(above, tau2), (below, tau2)]
     return points
+
+
+def _seeded_games(count, seed):
+    """Seeded (mu, tau2, y_target) with mu in (0.05, 2), tau2 in (0, 1/4)
+    and y_target in (-3, 3)."""
+    rng = np.random.default_rng(seed)
+    bounds = ((0.05, 2.0), (0.0, 0.25), (-3.0, 3.0))
+    return list(zip(*(rng.uniform(lo, hi, count).tolist() for lo, hi in bounds)))
 
 
 class TestParams:
@@ -139,14 +148,54 @@ class TestSolveEquilibria:
             assert sol.rule(1).slope == pytest.approx(1.0 - mu, rel=1e-15)
 
     def test_intercept_identity(self):
-        # b = (1 - c) * y_target holds at both roots
+        # b = (1 - c) * y_target holds at both roots, and is how b is formed
         p = ModelParams(mu=0.98, tau2=0.1, y_target=2.0)
         sol = solve_equilibria(p)
         for i in (1, 2):
             rule = sol.rule(i)
-            assert rule.intercept == pytest.approx(
-                (1.0 - rule.slope) * p.y_target, rel=1e-12
-            )
+            assert rule.intercept == (1.0 - rule.slope) * p.y_target
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.5, 0.0, 2.0), (0.7, 0.0, -1.5)],
+            [(0.3, 0.25, 2.0), (1.2, 0.25, -0.5)],
+            [(0.6989064904206899, 0.210436208068524, 2.0)],
+            _seeded_games(500, 7),
+        ],
+        ids=["no-uncertainty", "repeated", "zero-slope-first-root", "seeded-grid"],
+    )
+    def test_each_root_is_one_minus_its_slope(self, points):
+        # at a root tau2 + s**2 = s, so k = 1 - c and b = (1 - c) * y_target
+        for mu, tau2, y_target in points:
+            p = ModelParams(mu=mu, tau2=tau2, y_target=y_target)
+            sol = solve_equilibria(p)
+            assert sol.k_values == (1.0 - sol.slopes[0], 1.0 - sol.slopes[1])
+            if tau2 == 0.0:
+                # the s = 0 root: degenerate, with k at its limit 1 + mu
+                assert sol.degenerate[1] and sol.k_values[1] == 1.0 + mu
+            for rule in sol.rules:
+                if rule is None:
+                    continue
+                c = rule.slope
+                assert rule.intercept == (1.0 - c) * y_target
+                # optimal_forecast maps the rule back to itself, within a few
+                # ulp times the cancellation in forming s = mu + c
+                image = optimal_forecast(rule, p)
+                scale = 16 * (mu + abs(c)) / abs(mu + c)
+                assert abs(image.slope - c) <= scale * math.ulp(c)
+                assert abs(image.intercept - rule.intercept) <= scale * math.ulp(rule.intercept)
+
+    def test_root_two_keeps_its_digits_at_small_uncertainty(self):
+        # here s = mu + c2 is about tau2, and the intercept formed as
+        # k * c * y_target / (1 - k) lost 138,446 ulp
+        mu, tau2, y_target = 1.6223257790351355, 2.1011748983501555e-06, -0.6649647023037124
+        sol = solve_equilibria(ModelParams(mu=mu, tau2=tau2, y_target=y_target))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            k = Decimal("0.5") + Decimal(mu) + (1 - 4 * Decimal(tau2)).sqrt() / 2
+            for got, want in ((sol.rule(2).intercept, k * Decimal(y_target)), (sol.k_values[1], k)):
+                assert abs(Decimal(got) - want) <= 16 * Decimal(math.ulp(float(want)))
 
     def test_nonexistence(self):
         sol = solve_equilibria(ModelParams(mu=0.5, tau2=0.26))

@@ -112,7 +112,7 @@ def test_mz_slope_is_one_plus_the_bias_ratio(b, c, mu, tau2, y_target):
 def test_feasible_unit_interval_shock_implies_equilibrium(mu, frac):
     tau2 = frac * mu * (1.0 - mu)
     spec = PolicyShockSpec(family="beta_scaled", target_mean=mu, target_var=tau2)
-    assert spec.bounds == (0.0, 1.0)
+    assert spec.support == (0.0, 1.0)
     assert solve_equilibria(ModelParams(mu=mu, tau2=tau2)).exists
 
 

@@ -126,12 +126,14 @@ class TestPolicyShockSpec:
 
     def test_default_bounds_per_family(self, capsys, tmp_path):
         beta = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.1)
-        assert beta.bounds == (0.0, 1.0)
+        assert beta.support == (0.0, 1.0)
+        # the default is stored, so a spec given it equals one given none
+        assert beta == PolicyShockSpec("beta_scaled", 0.5, 0.1, (0.0, 1.0))
         tn = PolicyShockSpec(family="truncated_normal", target_mean=0.5, target_var=0.1)
-        assert tn.bounds == (0.0, math.inf)
+        assert tn.support == (0.0, math.inf)
         # the default support holds the point mass, wherever it sits
         point = PolicyShockSpec(family="degenerate", target_mean=2.0, target_var=0.0)
-        assert point.bounds == (0.0, math.inf)
+        assert point.support == (0.0, math.inf)
         prefix = tmp_path / "point"
         argv = [
             "simulate", "--scenario", "taylor_rule", "--family", "degenerate",
@@ -195,7 +197,7 @@ class TestSamplePolicyShock:
         # during the match, where z * z overflows; that must not print a
         # RuntimeWarning, which the suite turns into an error.
         spec = PolicyShockSpec("truncated_normal", mean, var, support=support)
-        lo, hi = spec.bounds
+        lo, hi = spec.support
         draws = sample_policy_shock(spec, 3, 0)
         assert np.all((draws > lo) & (draws < hi))
 
@@ -328,6 +330,14 @@ class TestPlayGame:
         bad = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.11)
         with pytest.raises(ValueError):
             play_game(run, bad, state, params)
+
+    def test_noise_variance_mismatch_rejected(self):
+        # eps is drawn with the state spec's noise_var, so a different
+        # params.sigma2 would be silently ignored
+        run, shock, state, _ = _taylor_setup()
+        params = ModelParams(mu=0.5, tau2=0.1, sigma2=2.0, y_target=2.0)
+        with pytest.raises(ValueError, match=r"noise variance 1.0 does not match params.sigma2 2.0"):
+            play_game(run, shock, state, params)
 
     def test_equilibrium_scenario_uses_the_selected_root(self):
         params = ModelParams(mu=0.7, tau2=0.15, sigma2=0.5, y_target=2.0)

@@ -244,7 +244,7 @@ def test_degenerate_support_passes_the_support_rule():
     with pytest.raises(ValueError, match="outside support"):
         PolicyShockSpec("degenerate", 0.5, 0.0, support=(0.5, 0.5))
     spec = PolicyShockSpec("degenerate", 0.5, 0.0, support=(0, 1))
-    assert spec.bounds == (0.0, 1.0)
+    assert spec.support == (0.0, 1.0)
     # the cap (mean - lo) * (hi - mean) underflows to 0 here
     tiny = PolicyShockSpec("degenerate", 1.5e-300, 0.0, support=(1e-300, 2e-300))
     assert np.array_equal(sample_policy_shock(tiny, 3, 0), [1.5e-300] * 3)
@@ -253,7 +253,7 @@ def test_degenerate_support_passes_the_support_rule():
 def test_half_line_cap_takes_a_large_mean():
     # the cap (mean - lo)**2 overflows to inf, which bounds nothing
     spec = PolicyShockSpec("truncated_normal", 1e200, 1.0)
-    assert spec.bounds == (0.0, math.inf)
+    assert spec.support == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("call", FLAT_CONJECTURE)
