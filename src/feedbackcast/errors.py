@@ -126,6 +126,12 @@ def _require_int(name: str, value, minimum: int, error: type = ValueError) -> in
     return number
 
 
+def _require_root_index(name: str, value) -> int:
+    if value not in (1, 2):
+        raise ValueError(f"{name} must be 1 or 2, got {value!r}")
+    return int(value)
+
+
 def _require_pair(name: str, values) -> tuple[float, float]:
     try:
         first, second = values

@@ -35,6 +35,7 @@ from .errors import (
     _require_menu,
     _require_nonnegative,
     _require_positive,
+    _require_root_index,
     _require_t_cost,
 )
 
@@ -169,48 +170,35 @@ class EquilibriumSolution:
 
         c = 1/2 - mu +/- sqrt(1 - 4*tau2) / 2
 
-    indexed 1 (plus branch) and 2 (minus branch). ``slopes`` and ``k_values``
-    are populated whenever ``exists``; a root is flagged ``degenerate`` (with
-    a None entry in ``rules``) when its rule cannot be constructed: slope
-    zero (a flat rule reveals nothing for the DM to invert), or the
-    ``mu + c = 0`` root at ``tau2 = 0``, where the best-response map is
-    singular. Root 1 also counts as flat when ``(1 - mu)*s - tau2``, its slope
-    times s in exact arithmetic, rounds to zero, so every caller of
-    ``_equilibrium_coefficients`` agrees with this flag. At ``tau2 = 1/4`` the
-    two roots coincide and ``repeated`` is set.
+    indexed 1 (plus branch) and 2 (minus branch), whose s = mu + c are
+    s1 = (1 + r)/2 and s2 = tau2/s1, r = sqrt(1 - 4*tau2). ``slopes`` and
+    ``k_values`` (the best-response constant 1 - c; 1 + mu, its limit, at the
+    s = 0 root) are populated whenever ``exists``. A root flagged
+    ``degenerate`` has a None entry in ``rules``: root 1 on ``_first_root``'s
+    flag, root 2 when c2 == 0 or tau2 == 0, where s2 = 0 and every forecast
+    is a best response. At ``tau2 = 1/4`` the two roots coincide and
+    ``repeated`` is set.
     """
 
     exists: bool
     rules: tuple[LinearRule | None, LinearRule | None] = (None, None)
     slopes: tuple[float, float] | None = None
+    k_values: tuple[float, float] | None = None
     degenerate: tuple[bool, bool] = (False, False)
     repeated: bool = False
-
-    @property
-    def k_values(self) -> tuple[float, float] | None:
-        """The best-response constant k at each root: k = 1 - c, since
-        tau2 + s**2 = s there (1 + mu at the degenerate s = 0 root of
-        tau2 = 0, the limit along the root curve)."""
-        if self.slopes is None:
-            return None
-        return 1.0 - self.slopes[0], 1.0 - self.slopes[1]
 
     def rule(self, index: int = 1) -> LinearRule:
         """Return the equilibrium rule with 1-based ``index`` (default: root
         1, the first self-confirming rule, which solve, sweep and simulate
         report), raising if it does not exist or is degenerate."""
-        if index not in (1, 2):
-            raise ValueError(f"equilibrium index must be 1 or 2, got {index}")
-        index = int(index)
+        index = _require_root_index("equilibrium index", index)
         if not self.exists:
             raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
         if self.degenerate[index - 1]:
             raise DegenerateEquilibrium(
                 f"equilibrium root {index} is degenerate and has no usable rule"
             )
-        rule = self.rules[index - 1]
-        assert rule is not None
-        return rule
+        return self.rules[index - 1]
 
 
 def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
@@ -220,10 +208,10 @@ def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
 
     The root's slope 1/2 - mu + r/2 and wedge - tau2 are c1 and c1*s in
     exact arithmetic, but in floats either can round to zero without the
-    other; the root is degenerate when either does. ``solve_equilibria`` and
-    ``_equilibrium_coefficients`` both take their verdicts from here, so
-    solve, sweep and simulate agree on them. Plain arithmetic: sweep calls it
-    once per grid point.
+    other; the root is degenerate when either does. This is root 1's one
+    verdict (s >= 1/2 never vanishes): ``solve_equilibria`` and
+    ``_equilibrium_coefficients`` both take it, so solve, sweep and simulate
+    agree. Plain arithmetic: sweep calls it once per grid point.
     """
     if tau2 > 0.25:
         return None
@@ -241,6 +229,11 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
     s = (1 +/- sqrt(1 - 4*tau2)) / 2 iff tau2 <= 1/4. There the
     best-response constant k = (tau2 + mu*s) / (tau2 + s**2) is 1 - c, and
     matching intercepts gives b = k * c * y_target / (1 - k) = (1 - c) * y_target.
+
+    The degenerate verdicts (see ``EquilibriumSolution``) never re-form s as
+    mu + c, which cancels. A listed slope is within an ulp of max(1/2, mu)
+    even where ``optimal_forecast``, which forms mu + c, cannot map the rule
+    back to itself: root 2 at tiny tau2, or root 1 once mu passes about 2**53.
     """
     first = _first_root(params.mu, params.tau2)
     if first is None:
@@ -248,18 +241,16 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
 
     root, _, first_flat = first
     slopes = (0.5 - params.mu + 0.5 * root, 0.5 - params.mu - 0.5 * root)
-    # tau2 + s**2 = 0 at the s = 0 root of tau2 = 0: every forecast is a best
-    # response against it, so no rule is pinned down
-    degenerate = tuple(
-        flat or params.tau2 + (params.mu + c) * (params.mu + c) == 0.0
-        for c, flat in zip(slopes, (first_flat, slopes[1] == 0.0))
-    )
+    s2_is_zero = params.tau2 == 0.0  # s2 = tau2/s1
+    degenerate = (first_flat, slopes[1] == 0.0 or s2_is_zero)
     rules = tuple(
         None if flat else LinearRule(intercept=(1.0 - c) * params.y_target, slope=c)
         for c, flat in zip(slopes, degenerate)
     )
+    k_values = (1.0 - slopes[0], 1.0 + params.mu if s2_is_zero else 1.0 - slopes[1])
     return EquilibriumSolution(
-        exists=True, rules=rules, slopes=slopes, degenerate=degenerate, repeated=root == 0.0
+        exists=True, rules=rules, slopes=slopes, k_values=k_values,
+        degenerate=degenerate, repeated=root == 0.0,
     )
 
 

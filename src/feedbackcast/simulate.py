@@ -34,6 +34,7 @@ from .errors import (
     _require_nonnegative,
     _require_pair,
     _require_positive,
+    _require_root_index,
 )
 from .model import (
     TAYLOR_RULE,
@@ -228,15 +229,17 @@ def _truncnorm_parent(
     )
 
 
+def _require_match(what: str, got: float, field: str, want: float) -> None:
+    """Reject an input ``got`` that is not, within 1e-9 relative, the
+    ``params.<field>`` value ``want`` the forecaster optimizes against."""
+    if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError(f"{what} {got} does not match params.{field} {want}")
+
+
 def _require_matching_shock(shock: PolicyShockSpec, params: ModelParams) -> None:
-    """Reject a reaction distribution whose (mean, var) is not the
-    (mu, tau2) the forecaster optimizes against."""
-    for what, got, field, want in (
-        ("mean", shock.target_mean, "mu", params.mu),
-        ("variance", shock.target_var, "tau2", params.tau2),
-    ):
-        if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"shock {what} {got} does not match params.{field} {want}")
+    """Reject a reaction distribution whose (mean, var) is not (mu, tau2)."""
+    _require_match("shock mean", shock.target_mean, "mu", params.mu)
+    _require_match("shock variance", shock.target_var, "tau2", params.tau2)
 
 
 def sample_policy_shock(spec: PolicyShockSpec, n: int, seed) -> np.ndarray:
@@ -379,8 +382,9 @@ class SimulationRun:
                 raise ValueError(f"scenario {self.scenario!r} requires {name}")
         if needs_conjecture:
             _check_conjecture(self.conjecture)
-        if self.equilibrium_index not in (None, 1, 2):
-            raise ValueError(f"equilibrium_index must be 1 or 2, got {self.equilibrium_index}")
+        if self.equilibrium_index is not None:
+            index = _require_root_index("equilibrium_index", self.equilibrium_index)
+            object.__setattr__(self, "equilibrium_index", index)
         if conditional:
             action = _require_finite("assumed_action", self.assumed_action)
             object.__setattr__(self, "assumed_action", action)
@@ -618,10 +622,7 @@ def _player(
     or raises.
     """
     _require_matching_shock(shock, params)
-    if not math.isclose(sn.noise_var, params.sigma2, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"noise variance {sn.noise_var} does not match params.sigma2 {params.sigma2}"
-        )
+    _require_match("noise variance", sn.noise_var, "sigma2", params.sigma2)
     draw_x = _shock_sampler(shock)
     # numpy raises where the play leaves the float range, rather than
     # warning and handing on inf or nan; the fits raise their own error

@@ -257,9 +257,17 @@ class TestSweep:
         assert rows == ["0.5,0.26,,,false", "0.5,0.3,,,false"]
 
     def test_cells_are_empty_exactly_where_solve_calls_the_root_degenerate(self, capsys):
-        # mu within four ulps of the zero-slope curve mu = (1 + r) / 2
+        # the sweep_degenerate.csv point, CI's zero-slope point, mu 1e17 at
+        # tau2 0 (where mu + c1 rounds to 0), a seeded grid, and mu within
+        # four ulps of the zero-slope curve mu = (1 + r) / 2
         rng = np.random.default_rng(23)
-        groups = [(0.10272216796875, [0.883767940337973])]
+        groups = [
+            (0.10272216796875, [0.883767940337973]),
+            (0.210436208068524, [0.6989064904206899]),
+            (0.0, [1e17]),
+            *((tau2, [mu]) for mu, tau2 in zip(
+                rng.uniform(0.05, 2.0, 40).tolist(), rng.uniform(0.0, 0.25, 40).tolist())),
+        ]
         for tau2 in rng.uniform(0.0, 0.25, 20).tolist():
             mus = [(1.0 + math.sqrt(1.0 - 4.0 * tau2)) / 2.0]
             for _ in range(4):
@@ -277,8 +285,9 @@ class TestSweep:
                 degenerate = solve_equilibria(ModelParams(mu=mu, tau2=tau2)).degenerate[0]
                 assert row.endswith(",,,true") == degenerate, (mu, tau2, row)
                 flagged += degenerate
-                code, _, err = _run(capsys, ["solve", "--mu", repr(mu), "--tau2", repr(tau2)])
-                assert code == 0, err
+                report = _run_json(capsys, ["solve", "--mu", repr(mu), "--tau2", repr(tau2)])
+                assert report["equilibria"]["roots"][0]["degenerate"] == degenerate, (mu, tau2)
+                assert ("equilibrium" in report) != degenerate, (mu, tau2)
         assert flagged > 1
 
     def test_clip_clamps_both_line_coefficients(self, capsys):
@@ -509,6 +518,19 @@ class TestSimulate:
         assert code == 1
         assert f"does not use {field}" in err
         assert not (tmp_path / "unused_draws.csv").exists()
+
+    def test_degenerate_second_root_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        # at tau2 = 0 root 2 has s = 0, though mu + c2 rounds to -1e-17 at mu 0.1
+        prefix = tmp_path / "root2"
+        code, _, err = _run(
+            capsys,
+            ["simulate", "--scenario", "equilibrium", "--equilibrium-index", "2",
+             "--family", "degenerate", "--mu", "0.1", "--tau2", "0", "--ytarget", "2",
+             "--n", "1000", "--out-prefix", str(prefix)],
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("feedbackcast: error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_menu_action_at_the_float_limit_runs_without_a_warning(self, capsys, tmp_path):
         # the costly action squares to inf; the cheap one must still win

@@ -147,6 +147,16 @@ class TestSolveEquilibria:
                 sol.rule(2)
             assert sol.rule(1).slope == pytest.approx(1.0 - mu, rel=1e-15)
 
+    def test_root_two_is_degenerate_at_zero_uncertainty(self):
+        # s2 = tau2 / s1 is exactly 0; below mu = 1/4 the slope 0.5 - mu - 0.5
+        # rounds, so mu + c2 can come out as +/-1e-17 instead
+        for mu in [i / 100 for i in range(1, 501)] + [1e17]:
+            sol = solve_equilibria(ModelParams(mu=mu, tau2=0.0, y_target=2.0))
+            assert sol.degenerate[1] and sol.rules[1] is None, mu
+            with pytest.raises(DegenerateEquilibrium):
+                sol.rule(2)
+            assert sol.k_values[1] == 1.0 + mu, mu
+
     def test_intercept_identity(self):
         # b = (1 - c) * y_target holds at both roots, and is how b is formed
         p = ModelParams(mu=0.98, tau2=0.1, y_target=2.0)

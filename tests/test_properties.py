@@ -17,7 +17,8 @@ from feedbackcast.model import (
 from feedbackcast.simulate import PolicyShockSpec
 
 mus = st.floats(0.05, 2.0)
-tau2_eq = st.floats(1e-6, 0.249)
+# exactly 0.0 too: the s = 0 root of tau2 = 0 must never be listed as a rule
+tau2_eq = st.floats(1e-6, 0.249) | st.just(0.0)
 tau2_any = st.floats(0.0, 0.5)
 slopes = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3)
 intercepts = st.floats(-5.0, 5.0)

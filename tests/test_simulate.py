@@ -327,9 +327,14 @@ class TestPlayGame:
 
     def test_shock_params_mismatch_rejected(self):
         run, _, state, params = _taylor_setup()
-        bad = PolicyShockSpec(family="beta_scaled", target_mean=0.5, target_var=0.11)
-        with pytest.raises(ValueError):
-            play_game(run, bad, state, params)
+        for mean, var, message in (
+            (0.6, 0.1, "shock mean 0.6 does not match params.mu 0.5"),
+            (0.5, 0.11, "shock variance 0.11 does not match params.tau2 0.1"),
+        ):
+            bad = PolicyShockSpec(family="beta_scaled", target_mean=mean, target_var=var)
+            with pytest.raises(ValueError) as exc:
+                play_game(run, bad, state, params)
+            assert str(exc.value) == message
 
     def test_noise_variance_mismatch_rejected(self):
         # eps is drawn with the state spec's noise_var, so a different

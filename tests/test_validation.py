@@ -226,6 +226,8 @@ def test_integral_counts_are_stored_as_int():
     assert type(run.draw_count) is int and type(run.seed) is int
     cfg = OracleConfig(sample_count=np.int64(10_000), seed=3.0)
     assert type(cfg.sample_count) is int and type(cfg.seed) is int
+    run = _run(scenario="equilibrium", equilibrium_index=np.uint16(2))
+    assert run.equilibrium_index == 2 and type(run.equilibrium_index) is int
 
 
 @pytest.mark.parametrize(
