@@ -248,27 +248,14 @@ def cmd_solve(ns) -> int:
     report: dict = {"params": asdict(params)}
 
     sol = solve_equilibria(params)
-    roots = []
-    if sol.exists:
-        for i in range(2):
-            rule = sol.rules[i]
-            roots.append(
-                {
-                    "index": i + 1,
-                    "slope": sol.slopes[i],
-                    "intercept": None if rule is None else rule.intercept,
-                    "k": sol.k_values[i],
-                    "degenerate": sol.degenerate[i],
-                }
-            )
     report["equilibria"] = {
         "exists": sol.exists,
         "repeated": sol.repeated,
         # root 1 is the reported rule; the key stays for the report's readers
         "selected_index": 1,
-        "roots": roots,
+        "roots": [root._asdict() for root in sol.roots],
     }
-    if sol.exists and not sol.degenerate[0]:
+    if sol.exists and not sol.roots[0].degenerate:
         eq_bias, eq_mz = equilibrium_bias_and_mz(params)
         report["equilibrium"] = {
             "rule": asdict(sol.rule(1)),

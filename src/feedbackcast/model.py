@@ -44,6 +44,7 @@ __all__ = [
     "LinearRule",
     "MZLine",
     "BiasLine",
+    "EquilibriumRoot",
     "EquilibriumSolution",
     "MseSplit",
     "TAYLOR_RULE",
@@ -161,30 +162,33 @@ def optimal_forecast(conjecture: LinearRule, params: ModelParams) -> LinearRule:
     return LinearRule(intercept=k * (c * params.y_target + b), slope=c * s / denom)
 
 
+class EquilibriumRoot(NamedTuple):
+    """One self-confirming rule f = intercept + slope*theta, with its
+    best-response constant ``k``: 1 - slope, or 1 + mu, its limit, where
+    s = mu + slope is 0. ``intercept`` is k * y_target, or None when the
+    root is ``degenerate`` (``_root``'s verdict). The fields are, in order,
+    the keys ``solve`` writes for the root.
+    """
+
+    index: int
+    slope: float
+    intercept: float | None
+    k: float
+    degenerate: bool
+
+
 @dataclass(frozen=True)
 class EquilibriumSolution:
     """Self-confirming forecast rules: rules that are optimal against the
     conjecture they themselves induce.
 
-    Two candidate slopes exist when ``tau2 <= 1/4``:
-
-        c = 1/2 - mu +/- sqrt(1 - 4*tau2) / 2
-
-    indexed 1 (plus branch) and 2 (minus branch), whose s = mu + c are
-    s1 = (1 + r)/2 and s2 = tau2/s1, r = sqrt(1 - 4*tau2). ``slopes`` and
-    ``k_values`` (the best-response constant 1 - c; 1 + mu, its limit, at the
-    s = 0 root) are populated whenever ``exists``. A root flagged
-    ``degenerate`` has a None entry in ``rules``: root 1 on ``_first_root``'s
-    flag, root 2 when c2 == 0 or tau2 == 0, where s2 = 0 and every forecast
-    is a best response. At ``tau2 = 1/4`` the two roots coincide and
-    ``repeated`` is set.
+    ``roots`` holds root 1 and root 2 when ``exists`` (tau2 <= 1/4), and is
+    empty otherwise. ``repeated`` is set at tau2 = 1/4, where the two
+    records differ only in ``index``.
     """
 
     exists: bool
-    rules: tuple[LinearRule | None, LinearRule | None] = (None, None)
-    slopes: tuple[float, float] | None = None
-    k_values: tuple[float, float] | None = None
-    degenerate: tuple[bool, bool] = (False, False)
+    roots: tuple[EquilibriumRoot, ...] = ()
     repeated: bool = False
 
     def rule(self, index: int = 1) -> LinearRule:
@@ -194,30 +198,38 @@ class EquilibriumSolution:
         index = _require_root_index("equilibrium index", index)
         if not self.exists:
             raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
-        if self.degenerate[index - 1]:
+        root = self.roots[index - 1]
+        if root.degenerate:
             raise DegenerateEquilibrium(
                 f"equilibrium root {index} is degenerate and has no usable rule"
             )
-        return self.rules[index - 1]
+        return LinearRule(intercept=root.intercept, slope=root.slope)
 
 
-def _first_root(mu: float, tau2: float) -> tuple[float, float, bool] | None:
+def _root(mu: float, tau2: float, index: int) -> tuple[float, float, float, bool] | None:
     """None when no self-confirming rule exists (tau2 > 1/4); otherwise
-    (r, wedge, degenerate) for the first root, with r = sqrt(1 - 4*tau2),
-    s = (1 + r)/2 and wedge = (1 - mu)*s.
+    (slope, s, wedge, degenerate) for root ``index``, with r = sqrt(1 - 4*tau2),
+    s1 = (1 + r)/2, s2 = tau2/s1, slope 1/2 - mu +/- r/2 and wedge = (1 - mu)*s.
 
-    The root's slope 1/2 - mu + r/2 and wedge - tau2 are c1 and c1*s in
-    exact arithmetic, but in floats either can round to zero without the
-    other; the root is degenerate when either does. This is root 1's one
-    verdict (s >= 1/2 never vanishes): ``solve_equilibria`` and
-    ``_equilibrium_coefficients`` both take it, so solve, sweep and simulate
-    agree. Plain arithmetic: sweep calls it once per grid point.
+    The slope and wedge - tau2 are c and c*s in exact arithmetic, but in
+    floats either can round to zero without the other; the root is
+    degenerate when either does (at tau2 = 0, s2 = 0 makes the wedge tau2).
+    Both roots take this one verdict from the same expressions, so they
+    agree at tau2 = 1/4, and solve, sweep and simulate agree through
+    ``solve_equilibria`` and ``_equilibrium_coefficients``. The verdict never
+    re-forms s as mu + c, which cancels. Plain arithmetic: sweep calls it
+    once per grid point.
     """
     if tau2 > 0.25:
         return None
     r = math.sqrt(1.0 - 4.0 * tau2)
-    wedge = (1.0 - mu) * (0.5 + 0.5 * r)
-    return r, wedge, 0.5 - mu + 0.5 * r == 0.0 or wedge == tau2
+    s1 = 0.5 + 0.5 * r
+    if index == 1:
+        slope, s = 0.5 - mu + 0.5 * r, s1
+    else:
+        slope, s = 0.5 - mu - 0.5 * r, tau2 / s1
+    wedge = (1.0 - mu) * s
+    return slope, s, wedge, slope == 0.0 or wedge == tau2
 
 
 def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
@@ -228,29 +240,24 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSolution:
     tau2 + (mu + c)**2 = mu + c, a quadratic in s = mu + c with real roots
     s = (1 +/- sqrt(1 - 4*tau2)) / 2 iff tau2 <= 1/4. There the
     best-response constant k = (tau2 + mu*s) / (tau2 + s**2) is 1 - c, and
-    matching intercepts gives b = k * c * y_target / (1 - k) = (1 - c) * y_target.
+    matching intercepts gives b = k * c * y_target / (1 - k) = k * y_target.
 
-    The degenerate verdicts (see ``EquilibriumSolution``) never re-form s as
-    mu + c, which cancels. A listed slope is within an ulp of max(1/2, mu)
-    even where ``optimal_forecast``, which forms mu + c, cannot map the rule
-    back to itself: root 2 at tiny tau2, or root 1 once mu passes about 2**53.
+    Each root's record is built from ``_root``. A listed slope is within an
+    ulp of max(1/2, mu) even where ``optimal_forecast``, which forms mu + c,
+    cannot map the rule back to itself: root 2 at tiny tau2, or root 1 once
+    mu passes about 2**53.
     """
-    first = _first_root(params.mu, params.tau2)
-    if first is None:
-        return EquilibriumSolution(exists=False)
-
-    root, _, first_flat = first
-    slopes = (0.5 - params.mu + 0.5 * root, 0.5 - params.mu - 0.5 * root)
-    s2_is_zero = params.tau2 == 0.0  # s2 = tau2/s1
-    degenerate = (first_flat, slopes[1] == 0.0 or s2_is_zero)
-    rules = tuple(
-        None if flat else LinearRule(intercept=(1.0 - c) * params.y_target, slope=c)
-        for c, flat in zip(slopes, degenerate)
-    )
-    k_values = (1.0 - slopes[0], 1.0 + params.mu if s2_is_zero else 1.0 - slopes[1])
+    roots = []
+    for index in (1, 2):
+        root = _root(params.mu, params.tau2, index)
+        if root is None:
+            return EquilibriumSolution(exists=False)
+        slope, s, _, degenerate = root
+        k = 1.0 + params.mu if s == 0.0 else 1.0 - slope
+        intercept = None if degenerate else _require_finite("intercept", k * params.y_target)
+        roots.append(EquilibriumRoot(index, slope, intercept, k, degenerate))
     return EquilibriumSolution(
-        exists=True, rules=rules, slopes=slopes, k_values=k_values,
-        degenerate=degenerate, repeated=root == 0.0,
+        exists=True, roots=tuple(roots), repeated=params.tau2 == 0.25
     )
 
 
@@ -296,27 +303,27 @@ def _equilibrium_coefficients(
 ) -> tuple[float, float, float]:
     """(g, intercept, slope) at the first self-confirming rule, as plain
     floats: g is the bias line's coefficient on theta, and intercept and
-    slope are the MZ line's. With r = sqrt(1 - 4*tau2) and s = (1 + r)/2,
+    slope are the MZ line's. With root 1's s and wedge from ``_root``,
 
-        g          = 2*tau2 / (1 + r)
-        intercept  = tau2 / (tau2 - (1-mu)*s) * y_target
-        slope      = (1-mu)*s / ((1-mu)*s - tau2)
+        g          = tau2 / s
+        intercept  = tau2 / (tau2 - wedge) * y_target
+        slope      = wedge / (wedge - tau2)
 
-    Raises NoEquilibrium or DegenerateEquilibrium on ``_first_root``'s
-    verdict. The arguments are taken as already checked and the results are
-    not checked: ``equilibrium_bias_and_mz`` wraps them in validated lines,
-    and sweep, which calls this once per grid point, checks the MZ pair.
+    Raises NoEquilibrium or DegenerateEquilibrium on ``_root``'s verdict.
+    The arguments are taken as already checked and the results are not
+    checked: ``equilibrium_bias_and_mz`` wraps them in validated lines, and
+    sweep, which calls this once per grid point, checks the MZ pair.
     """
-    first = _first_root(mu, tau2)
-    if first is None:
+    root = _root(mu, tau2, 1)
+    if root is None:
         raise NoEquilibrium("tau2 > 1/4: no self-confirming rule exists")
-    r, wedge, degenerate = first
+    _, s, wedge, degenerate = root
     if degenerate:
         raise DegenerateEquilibrium(
             "first equilibrium root has slope zero; its MZ line is undefined"
         )
     return (
-        2.0 * tau2 / (1.0 + r),
+        tau2 / s,
         tau2 / (tau2 - wedge) * y_target + 0.0,
         wedge / (wedge - tau2) + 0.0,
     )

@@ -724,10 +724,10 @@ def _listed_root(rule: LinearRule, params: ModelParams, tol: float) -> bool:
     rule that ``solve_equilibria`` lists."""
     eps = math.sqrt(tol)
     return any(
-        root is not None
+        not root.degenerate
         and math.isclose(rule.intercept, root.intercept, rel_tol=eps, abs_tol=eps)
         and math.isclose(rule.slope, root.slope, rel_tol=eps, abs_tol=eps)
-        for root in solve_equilibria(params).rules
+        for root in solve_equilibria(params).roots
     )
 
 

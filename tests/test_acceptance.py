@@ -64,7 +64,7 @@ def test_criterion_2_fixed_point_suite():
         )
         sol = solve_equilibria(params)
         assert sol.exists
-        if any(sol.degenerate):
+        if any(root.degenerate for root in sol.roots):
             continue
         for index in (1, 2):
             rule = sol.rule(index)

@@ -148,6 +148,15 @@ class TestSolve:
         assert report["taylor"]["mz_line"]["slope"] == 1.0505050505050506
         assert "conjecture" not in report
 
+    def test_report_keys_and_their_order(self, capsys):
+        report = _run_json(
+            capsys, ["solve", "--mu", "0.98", "--tau2", "0.1", "--ytarget", "2"]
+        )
+        assert list(report) == ["params", "equilibria", "equilibrium", "taylor"]
+        assert list(report["equilibria"]) == ["exists", "repeated", "selected_index", "roots"]
+        for root in report["equilibria"]["roots"]:
+            assert list(root) == ["index", "slope", "intercept", "k", "degenerate"]
+
     def test_conjecture_block(self, capsys):
         report = _run_json(
             capsys,
@@ -282,7 +291,7 @@ class TestSweep:
             )
             assert code == 0, err
             for mu, row in zip(mus, out.splitlines()[1::2]):
-                degenerate = solve_equilibria(ModelParams(mu=mu, tau2=tau2)).degenerate[0]
+                degenerate = solve_equilibria(ModelParams(mu=mu, tau2=tau2)).roots[0].degenerate
                 assert row.endswith(",,,true") == degenerate, (mu, tau2, row)
                 flagged += degenerate
                 report = _run_json(capsys, ["solve", "--mu", repr(mu), "--tau2", repr(tau2)])
@@ -520,16 +529,22 @@ class TestSimulate:
         assert not (tmp_path / "unused_draws.csv").exists()
 
     def test_degenerate_second_root_exits_1_and_writes_nothing(self, capsys, tmp_path):
-        # at tau2 = 0 root 2 has s = 0, though mu + c2 rounds to -1e-17 at mu 0.1
-        prefix = tmp_path / "root2"
-        code, _, err = _run(
-            capsys,
-            ["simulate", "--scenario", "equilibrium", "--equilibrium-index", "2",
-             "--family", "degenerate", "--mu", "0.1", "--tau2", "0", "--ytarget", "2",
-             "--n", "1000", "--out-prefix", str(prefix)],
-        )
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("feedbackcast: error: ")
+        points = [
+            # at tau2 = 0 root 2 has s = 0, though mu + c2 rounds to -1e-17 at mu 0.1
+            ["--family", "degenerate", "--mu", "0.1", "--tau2", "0", "--ytarget", "2"],
+            # root 2's slope is 5.6e-17, but (1 - mu)*s2 rounds to tau2; played,
+            # it read an MZ slope of 1.46e16. A Beta on (0, 2) matches the reaction
+            ["--mu", "0.19373299400379257", "--tau2", "0.15620052103811907",
+             "--support-lo", "0", "--support-hi", "2"],
+        ]
+        for i, point in enumerate(points):
+            code, _, err = _run(
+                capsys,
+                ["simulate", "--scenario", "equilibrium", "--equilibrium-index", "2", *point,
+                 "--n", "1000", "--out-prefix", str(tmp_path / f"root2_{i}")],
+            )
+            assert code == 1, point
+            assert err.count("\n") == 1 and err.startswith("feedbackcast: error: "), err
         assert list(tmp_path.iterdir()) == []
 
     def test_menu_action_at_the_float_limit_runs_without_a_warning(self, capsys, tmp_path):

@@ -40,13 +40,17 @@ def _near_zero_slope(count, seed):
     rng = np.random.default_rng(seed)
     points = [(0.6989064904206899, 0.210436208068524), (0.883767940337973, 0.10272216796875)]
     for tau2 in rng.uniform(0.0, 0.25, count).tolist():
-        above = below = (1.0 + math.sqrt(1.0 - 4.0 * tau2)) / 2.0
-        points.append((above, tau2))
-        for _ in range(4):
-            above = math.nextafter(above, math.inf)
-            below = math.nextafter(below, 0.0)
-            points += [(above, tau2), (below, tau2)]
+        curve = (1.0 + math.sqrt(1.0 - 4.0 * tau2)) / 2.0
+        points += [(mu, tau2) for mu in _within_ulps(curve, 4)]
     return points
+
+
+def _within_ulps(value, ulps):
+    """``value`` and the ``ulps`` floats either side of it."""
+    values = [value]
+    for _ in range(ulps):
+        values = [math.nextafter(values[0], 0.0), *values, math.nextafter(values[-1], math.inf)]
+    return values
 
 
 def _seeded_games(count, seed):
@@ -125,24 +129,24 @@ class TestSolveEquilibria:
     def test_reference_roots(self):
         sol = solve_equilibria(ModelParams(mu=0.98, tau2=0.1))
         assert sol.exists and not sol.repeated
-        c1, c2 = sol.slopes
+        c1, c2 = sol.roots[0].slope, sol.roots[1].slope
         assert c1 == pytest.approx(-0.09270166537925828, abs=1e-15)
         assert c2 == pytest.approx(-0.8672983346207417, abs=1e-15)
         # quoted 4-5 digit approximations
         assert c1 == pytest.approx(-0.09272, abs=5e-5)
         assert c2 == pytest.approx(-0.86728, abs=5e-5)
-        k1, k2 = sol.k_values
+        k1, k2 = sol.roots[0].k, sol.roots[1].k
         assert k1 == pytest.approx(1.0927016653792583, abs=1e-14)
         assert k2 == pytest.approx(1.8672983346207417, abs=1e-14)
 
     def test_zero_uncertainty_roots(self):
         for mu in (0.3, 0.7, 2.0):
             sol = solve_equilibria(ModelParams(mu=mu, tau2=0.0))
-            assert sol.slopes[0] == pytest.approx(1.0 - mu, rel=1e-15)
-            assert sol.slopes[1] == pytest.approx(-mu, rel=1e-15)
+            assert sol.roots[0].slope == pytest.approx(1.0 - mu, rel=1e-15)
+            assert sol.roots[1].slope == pytest.approx(-mu, rel=1e-15)
             # the second root cancels the mean reaction exactly; the
             # best-response map is flat against it, so no rule is usable
-            assert sol.degenerate[1]
+            assert sol.roots[1].degenerate
             with pytest.raises(DegenerateEquilibrium):
                 sol.rule(2)
             assert sol.rule(1).slope == pytest.approx(1.0 - mu, rel=1e-15)
@@ -152,10 +156,10 @@ class TestSolveEquilibria:
         # rounds, so mu + c2 can come out as +/-1e-17 instead
         for mu in [i / 100 for i in range(1, 501)] + [1e17]:
             sol = solve_equilibria(ModelParams(mu=mu, tau2=0.0, y_target=2.0))
-            assert sol.degenerate[1] and sol.rules[1] is None, mu
+            assert sol.roots[1].degenerate and sol.roots[1].intercept is None, mu
             with pytest.raises(DegenerateEquilibrium):
                 sol.rule(2)
-            assert sol.k_values[1] == 1.0 + mu, mu
+            assert sol.roots[1].k == 1.0 + mu, mu
 
     def test_intercept_identity(self):
         # b = (1 - c) * y_target holds at both roots, and is how b is formed
@@ -180,13 +184,16 @@ class TestSolveEquilibria:
         for mu, tau2, y_target in points:
             p = ModelParams(mu=mu, tau2=tau2, y_target=y_target)
             sol = solve_equilibria(p)
-            assert sol.k_values == (1.0 - sol.slopes[0], 1.0 - sol.slopes[1])
+            assert (sol.roots[0].k, sol.roots[1].k) == (
+                1.0 - sol.roots[0].slope, 1.0 - sol.roots[1].slope
+            )
             if tau2 == 0.0:
                 # the s = 0 root: degenerate, with k at its limit 1 + mu
-                assert sol.degenerate[1] and sol.k_values[1] == 1.0 + mu
-            for rule in sol.rules:
-                if rule is None:
+                assert sol.roots[1].degenerate and sol.roots[1].k == 1.0 + mu
+            for root in sol.roots:
+                if root.degenerate:
                     continue
+                rule = sol.rule(root.index)
                 c = rule.slope
                 assert rule.intercept == (1.0 - c) * y_target
                 # optimal_forecast maps the rule back to itself, within a few
@@ -204,28 +211,54 @@ class TestSolveEquilibria:
         with localcontext() as ctx:
             ctx.prec = 60
             k = Decimal("0.5") + Decimal(mu) + (1 - 4 * Decimal(tau2)).sqrt() / 2
-            for got, want in ((sol.rule(2).intercept, k * Decimal(y_target)), (sol.k_values[1], k)):
+            for got, want in ((sol.rule(2).intercept, k * Decimal(y_target)), (sol.roots[1].k, k)):
                 assert abs(Decimal(got) - want) <= 16 * Decimal(math.ulp(float(want)))
 
     def test_nonexistence(self):
         sol = solve_equilibria(ModelParams(mu=0.5, tau2=0.26))
         assert not sol.exists
-        assert sol.rules == (None, None)
+        assert sol.roots == ()
         with pytest.raises(NoEquilibrium):
             sol.rule()
 
     def test_repeated_root_at_quarter(self):
         sol = solve_equilibria(ModelParams(mu=0.3, tau2=0.25))
         assert sol.exists and sol.repeated
-        assert sol.slopes[0] == sol.slopes[1] == pytest.approx(0.2, rel=1e-15)
+        assert sol.roots[0].slope == sol.roots[1].slope == pytest.approx(0.2, rel=1e-15)
         assert sol.rule(1) == sol.rule(2)
+
+    @pytest.mark.parametrize("mu", _within_ulps(0.5, 8) + [0.1, 0.9, 1.3])
+    def test_repeated_root_takes_one_verdict(self, mu):
+        # at tau2 = 1/4 both roots are the same root; within 8 ulps of
+        # mu = 1/2 its slope rounds to a few 1e-17 and its wedge to tau2
+        sol = solve_equilibria(ModelParams(mu=mu, tau2=0.25, y_target=2.0))
+        assert sol.repeated
+        first, second = sol.roots
+        assert (first.index, second.index) == (1, 2)
+        assert first._replace(index=2) == second
+        if first.degenerate:
+            for index in (1, 2):
+                with pytest.raises(DegenerateEquilibrium):
+                    sol.rule(index)
+        else:
+            assert sol.rule(1) == sol.rule(2)
+
+    def test_root_two_is_degenerate_where_its_wedge_rounds_to_tau2(self):
+        # root 2's slope is 5.6e-17 here, but (1 - mu)*s2 rounds to tau2:
+        # its MZ slope would be 1.45e16, so the root takes root 1's verdict
+        sol = solve_equilibria(ModelParams(mu=0.19373299400379257, tau2=0.15620052103811907))
+        assert not sol.roots[0].degenerate
+        assert sol.roots[1].degenerate and sol.roots[1].intercept is None
+        assert 0.0 < sol.roots[1].slope < 1e-16
+        with pytest.raises(DegenerateEquilibrium):
+            sol.rule(2)
 
     def test_degenerate_first_root(self):
         # mu = 3/4, tau2 = 3/16: dyadic values make the first slope land on
         # exactly zero; the second root stays usable
         sol = solve_equilibria(ModelParams(mu=0.75, tau2=0.1875, y_target=3.0))
-        assert sol.degenerate == (True, False)
-        assert sol.rules[0] is None
+        assert (sol.roots[0].degenerate, sol.roots[1].degenerate) == (True, False)
+        assert sol.roots[0].intercept is None
         with pytest.raises(DegenerateEquilibrium):
             sol.rule(1)
         second = sol.rule(2)
@@ -317,13 +350,13 @@ class TestEquilibriumLines:
         with pytest.raises(DegenerateEquilibrium):
             equilibrium_bias_and_mz(ModelParams(mu=0.75, tau2=0.1875))
         sol = solve_equilibria(ModelParams(mu=0.75, tau2=0.1875))
-        assert sol.degenerate == (True, False)
+        assert (sol.roots[0].degenerate, sol.roots[1].degenerate) == (True, False)
 
     def test_degenerate_exactly_where_solve_says_so(self):
         flagged = 0
         for mu, tau2 in _near_zero_slope(300, 11):
             p = ModelParams(mu=mu, tau2=tau2, y_target=2.0)
-            degenerate = solve_equilibria(p).degenerate[0]
+            degenerate = solve_equilibria(p).roots[0].degenerate
             try:
                 _, mz = equilibrium_bias_and_mz(p)
             except DegenerateEquilibrium:

@@ -31,9 +31,10 @@ def test_equilibrium_rules_are_fixed_points(mu, tau2, y_target):
     params = ModelParams(mu=mu, tau2=tau2, y_target=y_target)
     sol = solve_equilibria(params)
     assume(sol.exists)
-    for rule, degenerate in zip(sol.rules, sol.degenerate):
-        if degenerate or abs(rule.slope) < 1e-6:
+    for root in sol.roots:
+        if root.degenerate or abs(root.slope) < 1e-6:
             continue
+        rule = sol.rule(root.index)
         nxt = optimal_forecast(rule, params)
         scale = 1.0 + abs(rule.intercept) + abs(rule.slope)
         assert abs(nxt.slope - rule.slope) < 1e-9 * scale
@@ -44,11 +45,11 @@ def test_equilibrium_rules_are_fixed_points(mu, tau2, y_target):
 def test_equilibrium_intercept_tracks_the_target(mu, tau2, y_target):
     sol = solve_equilibria(ModelParams(mu=mu, tau2=tau2, y_target=y_target))
     assume(sol.exists)
-    for rule, slope, degenerate in zip(sol.rules, sol.slopes, sol.degenerate):
-        if degenerate:
+    for root in sol.roots:
+        if root.degenerate:
             continue
-        assert rule.intercept == pytest.approx(
-            (1.0 - slope) * y_target, rel=1e-9, abs=1e-9
+        assert root.intercept == pytest.approx(
+            (1.0 - root.slope) * y_target, rel=1e-9, abs=1e-9
         )
 
 
